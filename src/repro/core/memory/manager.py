@@ -1284,11 +1284,3 @@ class MemoryManager:
         entry is device-dirty, the swap area is a complete checkpoint."""
         if not any(p.to_copy_2swap for p in self.page_table.entries_for(ctx)):
             ctx.replay_journal.clear()
-
-    def mem_usage(self, ctx: Context) -> int:
-        """The paper's ``MemUsage`` for one context."""
-        return self.page_table.allocated_bytes(ctx)
-
-    def mem_avail(self, device: GPUDevice) -> int:
-        """The paper's ``MemAvailList`` entry for one device."""
-        return device.allocator.free_bytes

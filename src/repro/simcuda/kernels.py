@@ -91,18 +91,6 @@ class KernelLaunch:
     read_only: Optional[Tuple[int, ...]] = None
     control_plane: bool = True
 
-    @property
-    def thread_count(self) -> int:
-        gx, gy, gz = self.grid
-        bx, by, bz = self.block
-        return gx * gy * gz * bx * by * bz
-
-    def writes_pointer(self, ptr: int) -> bool:
-        """Whether the launch may modify the allocation behind ``ptr``."""
-        if self.read_only is None:
-            return True
-        return ptr not in self.read_only
-
     @staticmethod
     def simple(
         kernel: KernelDescriptor, pointers: Sequence[int], read_only: Sequence[int] = ()

@@ -397,13 +397,6 @@ class TraceReplayResult:
             sums.setdefault(r["user"], []).append(r["slowdown"])
         return {u: percentile(v, 50.0) for u, v in sorted(sums.items())}
 
-    def per_user_mean_slowdown(self) -> Dict[str, float]:
-        """user → mean slowdown over their jobs (outlier-sensitive)."""
-        sums: Dict[str, List[float]] = {}
-        for r in self.completed:
-            sums.setdefault(r["user"], []).append(r["slowdown"])
-        return {u: sum(v) / len(v) for u, v in sorted(sums.items())}
-
     @property
     def jain_fairness(self) -> float:
         """Jain's index over per-user median slowdown: does every user's
