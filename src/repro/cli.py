@@ -184,15 +184,23 @@ def cmd_run_trace(args) -> int:
         print("trace mode needs exactly one of --trace FILE or --synthetic N",
               file=sys.stderr)
         return 2
-    if args.trace:
-        trace = load_trace(args.trace)
-        source = args.trace
-    else:
-        trace = synthetic_trace(
-            args.synthetic, seed=args.seed,
-            arrival_rate_per_s=args.arrival_rate,
-        )
-        source = f"synthetic({args.synthetic}, seed={args.seed})"
+    if args.nodes < 1 or args.gpus_per_node < 1:
+        print("trace mode needs --nodes >= 1 and --gpus-per-node >= 1",
+              file=sys.stderr)
+        return 2
+    try:
+        if args.trace:
+            trace = load_trace(args.trace)
+            source = args.trace
+        else:
+            trace = synthetic_trace(
+                args.synthetic, seed=args.seed,
+                arrival_rate_per_s=args.arrival_rate,
+            )
+            source = f"synthetic({args.synthetic}, seed={args.seed})"
+    except (OSError, ValueError) as exc:
+        print(f"repro run trace: {exc}", file=sys.stderr)
+        return 2
     collector = None
     if args.trace_out or args.metrics_out or args.events_out:
         collector = ObsCollector(
@@ -240,7 +248,13 @@ def cmd_run(args) -> int:
         print("batch mode needs --jobs (or use: repro run trace ...)",
               file=sys.stderr)
         return 2
-    jobs = _parse_jobs(args.jobs, args.cpu_fraction, use_runtime=not args.bare)
+    try:
+        jobs = _parse_jobs(args.jobs, args.cpu_fraction,
+                           use_runtime=not args.bare)
+    except (KeyError, ValueError) as exc:
+        # KeyError's str() would quote the message; print it verbatim.
+        print(f"repro run: {exc.args[0]}", file=sys.stderr)
+        return 2
     if not jobs:
         print("no jobs requested", file=sys.stderr)
         return 2
@@ -337,9 +351,7 @@ def cmd_bench_simspeed(args) -> int:
         print(f"\npinned baseline -> {path}")
         print(f"  events_per_second: {pinned['events_per_second']:.0f} "
               f"(ratchet {pinned['min_speedup']}x)")
-        print(f"  macro_events_per_second: "
-              f"{pinned['macro_events_per_second']:.0f} "
-              f"(same-run gate {pinned['min_macro_speedup']}x)")
+        print(f"  max_events: {pinned['max_events']}")
     return 0
 
 
@@ -477,8 +489,8 @@ def main(argv=None) -> int:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     sspeed = bench_sub.add_parser(
         "simspeed",
-        help="measure simulator throughput (stock vs macro-stepped, "
-             "tracing off/on) against the pinned baseline",
+        help="measure simulator throughput (untraced and traced) "
+             "against the pinned baseline",
     )
     sspeed.add_argument(
         "--pin-baseline", action="store_true",

@@ -96,7 +96,7 @@ class Resource:
         if len(self.users) < self.capacity and not self.queue:
             self.users.append(request)
             env = request.env
-            if env.macro_step and env.peek() > env._now:
+            if env.peek() > env._now:
                 # The slot is granted synchronously either way (users
                 # already holds the request); with nothing else pending
                 # at this instant, the requester may continue without a
@@ -168,8 +168,7 @@ class Container:
         if amount < 0:
             raise SimulationError("negative amount")
         if (
-            self.env.macro_step
-            and not self._putters
+            not self._putters
             and not self._getters
             and self._level + amount <= self.capacity
             and self.env.peek() > self.env._now
@@ -186,8 +185,7 @@ class Container:
         if amount < 0:
             raise SimulationError("negative amount")
         if (
-            self.env.macro_step
-            and not self._getters
+            not self._getters
             and not self._putters
             and self._level >= amount
             and self.env.peek() > self.env._now
@@ -253,8 +251,7 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         if (
-            self.env.macro_step
-            and len(self.items) < self.capacity
+            len(self.items) < self.capacity
             and self.env.peek() > self.env._now
         ):
             # Space available: hand the item to the first live getter (or
@@ -276,8 +273,7 @@ class Store:
 
     def get(self) -> StoreGet:
         if (
-            self.env.macro_step
-            and self.items
+            self.items
             and not self._putters
             and self.env.peek() > self.env._now
         ):

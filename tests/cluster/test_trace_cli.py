@@ -37,6 +37,19 @@ class TestRunTrace:
         assert main(["run", "trace"]) == 2
         assert "exactly one of" in capsys.readouterr().err
 
+    def test_rejects_empty_cluster(self, capsys):
+        assert main(["run", "trace", "--synthetic", "10", "--nodes", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--nodes >= 1" in err
+
+    def test_rejects_unreadable_trace(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        assert main(["run", "trace", "--trace", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "missing.csv" in err
+
     def test_batch_mode_still_needs_jobs(self, capsys):
         assert main(["run"]) == 2
         assert "--jobs" in capsys.readouterr().err

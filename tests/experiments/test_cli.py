@@ -38,9 +38,12 @@ def test_run_rejects_unknown_gpu():
         main(["run", "--jobs", "HS", "--gpus", "rtx9090"])
 
 
-def test_run_rejects_unknown_workload():
-    with pytest.raises(KeyError):
-        main(["run", "--jobs", "NOPE"])
+def test_run_rejects_unknown_workload(capsys):
+    assert main(["run", "--jobs", "NOPE"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "unknown workload 'NOPE'" in err
+    assert "MM-L" in err  # the message lists the valid tags
 
 
 def test_run_with_policy_and_flags(capsys):
