@@ -22,10 +22,14 @@ The shape claims the bake-off gates:
 
 The smoke slice (200 jobs, 4 nodes) additionally asserts bit-identical
 metrics across two replays of the same seed — the determinism contract
-CI gates on every run.
+CI gates on every run.  The placement scale gate replays 1.5k and 12k
+jobs on 32 nodes and bounds the growth of wall time per job between
+them, so placement cost cannot come to depend on history again.
 """
 
+import dataclasses
 import json
+import time
 
 from repro.experiments.report import format_table
 from repro.sim import SimProfiler
@@ -133,8 +137,6 @@ SCALE_ARRIVAL = 16.0
 
 
 def run_scale():
-    import time
-
     trace = synthetic_trace(
         SCALE_JOBS, seed=SEED, arrival_rate_per_s=SCALE_ARRIVAL
     )
@@ -189,6 +191,73 @@ def test_trace_scale_32_nodes(once):
     with open("BENCH_trace.json", "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+#: Placement growth gate: the ``cluster-trace`` benchmark shape (32x2
+#: GPUs, fairshare, 24 arrivals/s, durations capped at 8 s) replayed at
+#: two trace lengths in one run.  Placement reads live-work counters, so
+#: wall time per job must stay flat as history grows; a scan over every
+#: context a node has served makes it climb (~1.8-2.1x from 1.5k to
+#: 12k jobs).  A same-run ratio, so the gate does not depend on the
+#: machine.
+GROWTH_NODES = 32
+GROWTH_RATE = 24.0
+GROWTH_MAX_DURATION_S = 8.0
+GROWTH_JOBS = (1500, 12000)
+GROWTH_BOUND = 1.25
+
+
+def _growth_trace(jobs):
+    return [
+        dataclasses.replace(tj, duration=min(tj.duration, GROWTH_MAX_DURATION_S))
+        for tj in synthetic_trace(jobs, seed=SEED, arrival_rate_per_s=GROWTH_RATE)
+    ]
+
+
+def run_growth():
+    ms_per_job = {}
+    for jobs in GROWTH_JOBS:
+        trace = _growth_trace(jobs)
+        t0 = time.perf_counter()
+        res = replay_trace(trace, nodes=GROWTH_NODES, gpus_per_node=GPUS_PER_NODE,
+                           policy="fairshare")
+        wall = time.perf_counter() - t0
+        assert res.errors == 0 and len(res.records) == jobs
+        ms_per_job[jobs] = wall * 1e3 / jobs
+    return ms_per_job
+
+
+def test_placement_scale_flat(once):
+    ms_per_job = once(run_growth)
+    small, large = GROWTH_JOBS
+    ratio = ms_per_job[large] / ms_per_job[small]
+    print(
+        f"\n== placement scale: {GROWTH_NODES}x{GPUS_PER_NODE} GPUs, fairshare ==\n"
+        + "  ".join(f"{n} jobs {ms:.2f} ms/job" for n, ms in ms_per_job.items())
+        + f" | ratio {ratio:.2f} (bound {GROWTH_BOUND})"
+    )
+    try:
+        with open("BENCH_trace.json") as fh:
+            bench = json.load(fh)
+    except (OSError, ValueError):
+        bench = {}
+    bench["placement_scale"] = {
+        "nodes": GROWTH_NODES,
+        "gpus_per_node": GPUS_PER_NODE,
+        "policy": "fairshare",
+        "arrival_rate_per_s": GROWTH_RATE,
+        "max_duration_s": GROWTH_MAX_DURATION_S,
+        "ms_per_job": {str(n): ms for n, ms in ms_per_job.items()},
+        "ratio": ratio,
+        "bound": GROWTH_BOUND,
+    }
+    with open("BENCH_trace.json", "w") as fh:
+        json.dump(bench, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert ratio <= GROWTH_BOUND, (
+        f"ms/job grew {ratio:.2f}x from {small} to {large} jobs "
+        f"(bound {GROWTH_BOUND}): placement cost depends on history"
+    )
 
 
 def run_smoke():

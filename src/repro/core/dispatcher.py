@@ -91,6 +91,10 @@ class Dispatcher:
         self.failed_contexts: List[Context] = []
         #: All contexts ever served (experiment bookkeeping).
         self.contexts: List[Context] = []
+        #: Contexts in ``contexts`` not yet DONE, kept as a count so the
+        #: placement and offload metric (§4.7) never scans history:
+        #: :meth:`track` adds one, :meth:`finish` removes one.
+        self.live_contexts = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -158,7 +162,7 @@ class Dispatcher:
         migration = self.runtime.migration
         ctx = Context(env, owner=sock.peer_name)
         ctx.enter_cpu_phase(env.now)
-        self.contexts.append(ctx)
+        self.track(ctx)
         lock_acquire = ctx.lock.acquire
         lock_release = ctx.lock.release
         while True:
@@ -1094,6 +1098,16 @@ class Dispatcher:
             self.obs.failure_recovered(ctx, replayed_kernels=replayed)
 
     # ------------------------------------------------------------------
+    def track(self, ctx: Context) -> None:
+        """Record a newly served context; it is live until :meth:`finish`."""
+        self.contexts.append(ctx)
+        self.live_contexts += 1
+
+    def finish(self, ctx: Context) -> None:
+        """The single transition to DONE: ``ctx`` stops counting as live."""
+        ctx.state = ContextState.DONE
+        self.live_contexts -= 1
+
     def _exit(self, ctx: Context) -> Generator:
         yield from self.memory.release_context(ctx)
         if ctx.bound:
@@ -1113,5 +1127,5 @@ class Dispatcher:
             )
         if ctx.tenant is not None:
             ctx.tenant.detach(ctx)
-        ctx.state = ContextState.DONE
+        self.finish(ctx)
         ctx.finished_at = self.env.now

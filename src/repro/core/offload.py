@@ -4,12 +4,13 @@ When a node's GPUs are overloaded, the runtime redirects application
 threads from the pending-connections list to other nodes over TCP.  Only
 the CUDA calls travel — the job's CPU phases stay on the origin node.
 
-The load measure is contexts-per-vGPU (bound + waiting); a connection is
-offloaded to the least-loaded peer when the local figure exceeds the
-peer's by more than a configurable margin.  In the prototype, peers learn
-each other's load through the same socket layer; here the query is a
-direct method call on the peer object (one fewer message pair — noted in
-DESIGN.md as a simulation simplification).
+The load measure is live application threads per usable vGPU
+(:meth:`NodeRuntime.load_per_vgpu`); a connection is offloaded to the
+least-loaded peer when the local figure exceeds the peer's by more than
+a configurable margin.  In the prototype, peers learn each other's load
+through the same socket layer; here the query is a direct method call on
+the peer object (one fewer message pair — noted in DESIGN.md as a
+simulation simplification).
 """
 
 from __future__ import annotations
@@ -73,11 +74,7 @@ class OffloadManager:
             return None
         runtime = self.runtime
         capacity = runtime.scheduler.total_vgpus
-        live = sum(
-            1
-            for c in runtime.dispatcher.contexts
-            if c.state.value != "done"
-        )
+        live = runtime.dispatcher.live_contexts
         if capacity > 0 and live < capacity:
             return None  # local GPUs not saturated: keep the job
         projected = (live + 1) / capacity if capacity else float("inf")

@@ -233,7 +233,7 @@ class NodeRuntime:
                 ctx.lock.release()
         for vgpu in self.scheduler.vgpus:
             if vgpu.device is device:
-                vgpu.retired = True
+                self.scheduler.retire_vgpu(vgpu)
         self.driver.remove_device(device)
         self._failed_devices.add(device.device_id)
 
@@ -333,18 +333,15 @@ class NodeRuntime:
             ctx.lock.release()
 
     # ------------------------------------------------------------------
-    def contexts(self) -> List[Context]:
-        return list(self.dispatcher.contexts)
-
     def load_per_vgpu(self) -> float:
         """Offload metric (§4.7): live application threads on this node —
         connections pending plus contexts not yet finished — per usable
-        vGPU."""
+        vGPU.  Reads the dispatcher's and scheduler's live counts, so it
+        costs the same however much history the node has served."""
         capacity = self.scheduler.total_vgpus
         if capacity == 0:
             return float("inf")
-        live = sum(1 for c in self.dispatcher.contexts if c.state is not ContextState.DONE)
-        return (live + self.connections.pending_count) / capacity
+        return (self.dispatcher.live_contexts + self.connections.pending_count) / capacity
 
     def __repr__(self) -> str:
         return (

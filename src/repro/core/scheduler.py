@@ -53,6 +53,10 @@ class Scheduler:
             buckets=QUEUE_WAIT_BUCKETS_S,
         )
         self.vgpus: List[VirtualGPU] = []
+        #: vGPUs in ``vgpus`` not yet retired, kept as a count so the
+        #: placement and offload metric never scans them: spawning adds
+        #: one, :meth:`retire_vgpu` removes one.
+        self._usable_vgpus = 0
         #: waiting contexts, with the event each blocks on
         self._waiting: List[Context] = []
         self._waiting_events: Dict[Context, Event] = {}
@@ -90,8 +94,10 @@ class Scheduler:
         for index in range(self.config.vgpus_per_device):
             vgpu = VirtualGPU(self.env, self.driver, device, index)
             vgpu.obs = self.obs
+            vgpu.scheduler = self
             yield from vgpu.start()
             self.vgpus.append(vgpu)
+            self._usable_vgpus += 1
 
     def add_device(self, device: GPUDevice) -> Generator:
         """Dynamic GPU upgrade: spawn vGPUs and serve waiting contexts."""
@@ -107,7 +113,7 @@ class Scheduler:
         orphans: List[Context] = []
         for vgpu in self.vgpus:
             if vgpu.device is device:
-                vgpu.retired = True
+                self.retire_vgpu(vgpu)
                 if vgpu.bound_context is not None:
                     orphans.append(vgpu.bound_context)
         # Contexts queued for a binding would otherwise sleep forever on
@@ -134,12 +140,20 @@ class Scheduler:
                 self.obs.queue_depth("waiting_contexts", 0)
         return orphans
 
+    def retire_vgpu(self, vgpu: VirtualGPU) -> None:
+        """The single retire step (idempotent): ``vgpu`` takes no new
+        bindings and leaves the usable count."""
+        if not vgpu.retired:
+            vgpu.retired = True
+            self._usable_vgpus -= 1
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @property
     def total_vgpus(self) -> int:
-        return sum(1 for v in self.vgpus if not v.retired)
+        """Usable (not retired) vGPUs."""
+        return self._usable_vgpus
 
     def idle_vgpus(self) -> List[VirtualGPU]:
         return [v for v in self.vgpus if v.idle and not getattr(v, "reserved", False)]

@@ -23,6 +23,7 @@ from repro.simcuda.streams import Stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import Context
+    from repro.core.scheduler import Scheduler
 
 __all__ = ["VirtualGPU"]
 
@@ -54,6 +55,9 @@ class VirtualGPU:
         #: every bind/unbind — scheduler grant, migration, recovery — is
         #: observed at this single choke point.
         self.obs = None
+        #: The owning scheduler, injected at spawn: retirement goes
+        #: through its retire step so the usable-vGPU count stays exact.
+        self.scheduler: Optional["Scheduler"] = None
 
     # ------------------------------------------------------------------
     def start(self) -> Generator:
@@ -65,7 +69,7 @@ class VirtualGPU:
 
     def shutdown(self) -> Generator:
         """Destroy the CUDA context (device removal / node shutdown)."""
-        self.retired = True
+        self.scheduler.retire_vgpu(self)
         if self.cuda_context is not None:
             yield from self.driver.destroy_context(self.cuda_context)
             self.cuda_context = None

@@ -39,13 +39,14 @@ identical seed + trace ⇒ bit-identical metrics.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 import os
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,7 +128,7 @@ class TraceJob:
     def from_record(cls, record: Dict) -> "TraceJob":
         """Build from a loose dict (CSV row / JSON object); extra keys
         are ignored so real-trace exports with more columns load as-is."""
-        missing = [f for f in TRACE_FIELDS if f not in record]
+        missing = [f for f in TRACE_FIELDS if record.get(f) is None]
         if missing:
             raise ValueError(f"trace record missing fields {missing}: {record}")
         return cls(
@@ -147,16 +148,44 @@ class TraceJob:
 # ----------------------------------------------------------------------
 def loads_trace(text: str) -> List[TraceJob]:
     """Parse trace text — CSV (with header) or JSON-lines, sniffed from
-    the first non-blank character — into submit-time order."""
+    the first non-blank character — into submit-time order.
+
+    Raises
+    ------
+    ValueError
+        Naming the 1-based line of the first malformed record (bad JSON,
+        a missing field, a non-numeric or out-of-range value, an unknown
+        ``gpu_type``); for CSV the header is line 1.
+    """
     stripped = text.lstrip()
     if not stripped:
         return []
+    jobs: List[TraceJob] = []
     if stripped[0] == "{":
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        for line_no, line in enumerate(text.splitlines(), 1):
+            if line.strip():
+                with _trace_line(line_no):
+                    record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise ValueError("expected a JSON object per line")
+                    jobs.append(TraceJob.from_record(record))
     else:
-        records = list(csv.DictReader(io.StringIO(text)))
-    jobs = [TraceJob.from_record(r) for r in records]
+        reader = csv.DictReader(io.StringIO(text))
+        for record in reader:
+            with _trace_line(reader.line_num):
+                jobs.append(TraceJob.from_record(record))
     return sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+
+
+@contextlib.contextmanager
+def _trace_line(line_no: int) -> Iterator[None]:
+    """Re-raise a record's parse error as one ValueError naming its line."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"trace line {line_no}: {exc}") from None
+    except KeyError as exc:  # device_spec: unknown gpu_type
+        raise ValueError(f"trace line {line_no}: {exc.args[0]}") from None
 
 
 def load_trace(path: str) -> List[TraceJob]:
@@ -529,7 +558,11 @@ def replay_trace(
     if run_config.offload_enabled:
         cluster.peer_runtimes()
     manager = CloudManager(env, cluster.nodes)
-    node_type = {n.name: t.strip().upper() for n, t in zip(cluster.nodes, plan)}
+    # Candidate nodes per GPU type, grouped once; each keeps cluster
+    # order, so placement ties break exactly as over the full node list.
+    nodes_of_type: Dict[str, List[ComputeNode]] = {}
+    for node, gpu_type in zip(cluster.nodes, plan):
+        nodes_of_type.setdefault(gpu_type.strip().upper(), []).append(node)
 
     shared_estimator = estimator or RuntimeEstimator()
     users: Dict[str, str] = {}
@@ -616,10 +649,7 @@ def replay_trace(
         return body
 
     def _place(tj: TraceJob) -> ComputeNode:
-        wanted = tj.gpu_type.strip().upper()
-        candidates = [n for n in cluster.nodes if node_type[n.name] == wanted]
-        if not candidates:
-            candidates = cluster.nodes
+        candidates = nodes_of_type.get(tj.gpu_type.strip().upper(), cluster.nodes)
         return min(candidates, key=lambda n: (n.runtime.load_per_vgpu(), n.name))
 
     def _run(job: Job, tj: TraceJob, node: ComputeNode) -> Generator:

@@ -50,6 +50,28 @@ class TestRunTrace:
         assert err.count("\n") == 1
         assert "missing.csv" in err
 
+    def test_malformed_rows_name_their_line(self, capsys, tmp_path):
+        header = "job_id,user,group,submit_time,duration,num_gpus,gpu_type,mem_bytes\n"
+        good = "j1,u,g,0,1,1,V100,1000\n"
+        obj = ('{"job_id": "j1", "user": "u", "group": "g", "submit_time": 0, '
+               '"duration": 1, "num_gpus": 1, "gpu_type": "T4", "mem_bytes": 10}')
+        cases = {
+            "bad.csv": (header + good + "j2,u,g,abc,1,1,V100,1000\n",
+                        "line 3", "could not convert"),
+            "short.csv": (header + "j1,u,g,0\n", "line 2", "missing fields"),
+            "type.csv": (header + good + good.replace("V100", "X9"),
+                         "line 3", "unknown gpu_type"),
+            "bad.jsonl": (obj + "\n\n{oops\n", "line 3", "Expecting"),
+            "list.jsonl": (obj + "\n[1, 2]\n", "line 2", "JSON object"),
+        }
+        for name, (text, line, reason) in cases.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["run", "trace", "--trace", str(path)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, name
+            assert line in err and reason in err, err
+
     def test_batch_mode_still_needs_jobs(self, capsys):
         assert main(["run"]) == 2
         assert "--jobs" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """OffloadManager.choose_peer edge cases (paper §4.7)."""
 
 from repro.core import NodeRuntime, RuntimeConfig
-from repro.core.context import Context, ContextState
+from repro.core.context import Context
 from repro.sim import Environment
 from repro.simcuda import CudaDriver, TESLA_C2050
 
@@ -22,7 +22,7 @@ def _node(env, name, vgpus=1, margin=0.5):
 def _load(env, node, n):
     """Fabricate n live (pending) contexts on a node."""
     for i in range(n):
-        node.dispatcher.contexts.append(Context(env, owner=f"{node.name}-c{i}"))
+        node.dispatcher.track(Context(env, owner=f"{node.name}-c{i}"))
 
 
 def test_no_peers_returns_none():
@@ -91,7 +91,7 @@ def test_done_contexts_do_not_count_as_load():
     a.offloader.add_peer(b)
     _load(env, a, 3)
     for ctx in a.dispatcher.contexts:
-        ctx.state = ContextState.DONE
+        a.dispatcher.finish(ctx)
     # All local work finished: the node is not saturated.
     assert a.offloader.choose_peer() is None
 
