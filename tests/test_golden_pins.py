@@ -22,10 +22,12 @@ import pytest
 from benchmarks import test_control_plane as batching_bench
 from benchmarks import test_locality_binding as locality_bench
 from benchmarks import test_overlap_engine as overlap_bench
+from benchmarks import test_policy_exploration as policy_bench
 from benchmarks import test_qos_isolation as qos_bench
 from benchmarks import test_swap_granularity as swap_bench
 from benchmarks import test_trace_replay as trace_bench
 from repro.core import RuntimeConfig
+from repro.core.policies import POLICY_NAMES
 from repro.experiments.harness import run_node_batch
 from repro.simcuda import TESLA_C2050
 from repro.workloads.generator import make_job
@@ -106,13 +108,13 @@ def _batching():
     return out
 
 
-def _trace_smoke():
+def _smoke_slice(policy):
     trace = synthetic_trace(
         trace_bench.SMOKE_JOBS,
         seed=trace_bench.SEED,
         arrival_rate_per_s=trace_bench.ARRIVAL_RATE,
     )
-    res = replay_trace(trace, nodes=trace_bench.SMOKE_NODES, policy="sjf_est")
+    res = replay_trace(trace, nodes=trace_bench.SMOKE_NODES, policy=policy)
     return {
         "metrics": res.metrics(),
         "stats": res.stats,
@@ -123,6 +125,20 @@ def _trace_smoke():
     }
 
 
+def _trace_smoke():
+    return _smoke_slice("sjf_est")
+
+
+def _policies():
+    """Every registered scheduling policy on two workloads: the trace
+    smoke slice, and the node-level policy sweep, whose mixed waiting
+    list is where sjf, edf and credit order differently."""
+    return {
+        name: {"trace_smoke": _smoke_slice(name), "node": policy_bench.run(name)}
+        for name in POLICY_NAMES
+    }
+
+
 SCENARIOS = {
     "swap": _swap,
     "overlap": _overlap,
@@ -130,6 +146,7 @@ SCENARIOS = {
     "locality": _locality,
     "batching": _batching,
     "trace_smoke": _trace_smoke,
+    "policies": _policies,
 }
 
 
