@@ -48,8 +48,8 @@ class RuntimeConfig:
         transfer.  Requires ``overlap_transfers`` to be useful; purely
         speculative — prefetch never evicts and swallows device errors.
     policy:
-        Scheduling policy name registered in :mod:`repro.core.policies`
-        ("fcfs", "sjf", "credit").
+        Scheduling policy name; any of
+        :data:`repro.core.policies.POLICY_NAMES`.
     enable_intra_swap / enable_inter_swap:
         The two memory-swapping modes of §4.5.
     swap_chunk_bytes:
@@ -76,8 +76,9 @@ class RuntimeConfig:
     swap_retry_backoff_s:
         Initial wait before a context that failed to obtain device memory
         (and found no swap victim) retries after unbinding.  Consecutive
-        failures back off exponentially up to ``swap_retry_max_backoff_s``;
-        any device-memory release wakes waiters immediately.
+        failures back off exponentially up to
+        ``repro.core.dispatcher.SWAP_RETRY_MAX_BACKOFF_S``; any
+        device-memory release wakes waiters immediately.
     migration_enabled:
         Dynamic binding from slower to faster GPUs when the latter become
         idle and no pending jobs exist (§5.3.4).
@@ -108,10 +109,6 @@ class RuntimeConfig:
         to the same device (they share data on the GPU), and dynamic
         binding uses direct GPU-to-GPU transfers instead of staging
         through host memory.
-    dispatcher_overhead_s:
-        Per-call software cost of interception/dispatch inside the
-        runtime daemon.  A batched submission pays it once per *batch*
-        (one scheduler round-trip), not once per call.
     launch_control_plane_s:
         Per-launch control-plane cost charged by the simulated driver
         (CPU-side submission work before the launch contends for an
@@ -134,13 +131,12 @@ class RuntimeConfig:
         (default) flushes only on a full batch or a barrier call.
     graph_replay_enabled:
         CUDA-Graph-style replay: the dispatcher recognizes a repeated
-        launch-only batch signature (or an explicit frontend capture),
+        launch-only batch signature (seen
+        ``repro.core.dispatcher.GRAPH_MIN_REPEATS`` times) or an explicit
+        frontend capture,
         instantiates it once, and re-issues the whole graph for a single
         control-plane charge with only parameter patching.  Off by
         default.
-    graph_min_repeats:
-        How many times an identical launch-only batch signature must be
-        seen before the dispatcher instantiates a graph for it.
     tracing:
         Structured tracing (:mod:`repro.obs`): emit typed events (call
         spans, swaps, bindings, migrations, queue depths) on the node's
@@ -226,7 +222,6 @@ class RuntimeConfig:
     eviction_mode: str = "context"
     eviction_policy: str = "lru"
     swap_retry_backoff_s: float = 2e-3
-    swap_retry_max_backoff_s: float = 1.0
     migration_enabled: bool = False
     migration_min_speedup: float = 1.25
     offload_enabled: bool = False
@@ -235,12 +230,10 @@ class RuntimeConfig:
     unbind_on_cpu_phase_s: Optional[float] = None
     cuda4_semantics: bool = False
     kernel_consolidation: bool = False
-    dispatcher_overhead_s: float = 30e-6
     launch_control_plane_s: float = 0.0
     batch_max_calls: int = 1
     batch_max_delay_s: Optional[float] = None
     graph_replay_enabled: bool = False
-    graph_min_repeats: int = 2
     tracing: bool = False
     qos_enabled: bool = False
     slo_window_s: float = 60.0
@@ -259,7 +252,6 @@ class RuntimeConfig:
     #: The paper's nodes have 48 GB of host memory (§5.1); the swap area
     #: may use essentially all of it.
     host_swap_capacity_bytes: int = 46 * 1024**3
-    host_memcpy_bps: float = 8e9
 
     def __post_init__(self) -> None:
         # Validate policy names against the live registries (imported
@@ -290,8 +282,6 @@ class RuntimeConfig:
             raise ValueError("batch_max_calls must be >= 1")
         if self.batch_max_delay_s is not None and self.batch_max_delay_s <= 0:
             raise ValueError("batch_max_delay_s must be positive (or None)")
-        if self.graph_min_repeats < 1:
-            raise ValueError("graph_min_repeats must be >= 1")
         if self.admission_mode not in ("queue", "reject"):
             raise ValueError(f"unknown admission_mode {self.admission_mode!r}")
         if self.listener_backlog is not None and self.listener_backlog < 1:

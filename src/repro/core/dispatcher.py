@@ -50,6 +50,18 @@ __all__ = ["Dispatcher", "GraphInstance"]
 #: profiling hint (estimated GPU seconds, used by the SJF policy).
 HELLO_METHOD = "reproHello"
 
+#: Per-call software cost of interception/dispatch inside the runtime
+#: daemon.  A batched submission pays it once per *batch* (one scheduler
+#: round-trip), not once per call.
+DISPATCHER_OVERHEAD_S = 30e-6
+
+#: How many times an identical launch-only batch signature must be seen
+#: before the dispatcher instantiates a graph for it.
+GRAPH_MIN_REPEATS = 2
+
+#: Ceiling of the exponential backoff between swap retries (§4.5).
+SWAP_RETRY_MAX_BACKOFF_S = 1.0
+
 _graph_ids = itertools.count(1)
 
 
@@ -266,7 +278,7 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _serve_batch(self, sock: Socket, ctx: Context, batch: BatchRequest) -> Generator:
         """Execute one batch frame under a single lock hold and a single
-        ``dispatcher_overhead_s`` charge (one scheduler round-trip).
+        ``DISPATCHER_OVERHEAD_S`` charge (one scheduler round-trip).
 
         Per-call results/errors come back in one :class:`BatchResponse`;
         a mid-batch failure aborts the remaining calls with typed
@@ -305,7 +317,7 @@ class Dispatcher:
         exited = False
         yield ctx.lock.acquire()
         try:
-            yield env.timeout(self.config.dispatcher_overhead_s)
+            yield env.timeout(DISPATCHER_OVERHEAD_S)
             instance = self._match_graph(ctx, calls)
             if instance is not None:
                 responses, last_error = yield from self._serve_batch_as_graph(
@@ -480,7 +492,7 @@ class Dispatcher:
         return ctx.graph_by_signature.get(sig)
 
     def _note_graph_candidate(self, ctx: Context, calls: List[Request]) -> None:
-        """Journal-based detection: after ``graph_min_repeats`` identical
+        """Journal-based detection: after ``GRAPH_MIN_REPEATS`` identical
         launch-only frames, instantiate a graph so the next match
         replays."""
         if not self.config.graph_replay_enabled:
@@ -489,7 +501,7 @@ class Dispatcher:
         if sig is None or sig in ctx.graph_by_signature:
             return
         seen = ctx.graph_candidates.get(sig, 0) + 1
-        if seen < self.config.graph_min_repeats:
+        if seen < GRAPH_MIN_REPEATS:
             ctx.graph_candidates[sig] = seen
             return
         ctx.graph_candidates.pop(sig, None)
@@ -642,12 +654,7 @@ class Dispatcher:
                     )
                     index += 1
                 except NeedRetry:
-                    yield from self.memory.swap_out_context(ctx, notify=False)
-                    self.scheduler.release(ctx, "graph retry")
-                    timeout = env.timeout(backoff)
-                    freed = self.memory.memory_freed.wait()
-                    yield env.any_of([timeout, freed])
-                    backoff = min(backoff * 2, self.config.swap_retry_max_backoff_s)
+                    backoff = yield from self._retry_later(ctx, backoff, "graph retry")
         finally:
             if span is not None:
                 span.pop()
@@ -764,7 +771,7 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def _dispatch(self, ctx: Context, req: Request) -> Generator:
         """Returns (value, response_payload_bytes)."""
-        yield self.env.timeout(self.config.dispatcher_overhead_s)
+        yield self.env.timeout(DISPATCHER_OVERHEAD_S)
         return (yield from self._dispatch_body(ctx, req))
 
     def _dispatch_body(self, ctx: Context, req: Request) -> Generator:
@@ -986,40 +993,45 @@ class Dispatcher:
         while True:
             if not ctx.bound:
                 yield from self.scheduler.request_binding(ctx)
-            ctx.last_call = req
             try:
                 duration = yield from self.memory.prepare_and_launch(
                     ctx, kernel, vptrs, read_only, grid=grid, block=block
                 )
                 break
             except NeedRetry:
-                # No device memory, no victim: unbind, retry later (§4.5).
-                # Wake early if anyone releases device memory; otherwise
-                # back off exponentially so stuck launches do not spin.
-                # The lost time is off-device time: "preempted".
-                span = ctx.span
-                if span is not None:
-                    span.push("preempted")
-                try:
-                    yield from self.memory.swap_out_context(ctx, notify=False)
-                    self.scheduler.release(ctx, "swap retry")
-                    # When either branch wins, the AnyOf cancels the loser:
-                    # a spent timeout leaves the kernel heap, an unneeded
-                    # waiter leaves memory_freed's queue — so a later
-                    # notify cannot be swallowed by this retry's ghost.
-                    timeout = self.env.timeout(backoff)
-                    freed = self.memory.memory_freed.wait()
-                    yield self.env.any_of([timeout, freed])
-                finally:
-                    if span is not None:
-                        span.pop()
-                backoff = min(backoff * 2, self.config.swap_retry_max_backoff_s)
+                backoff = yield from self._retry_later(ctx, backoff, "swap retry")
 
         ctx.pending_config = None
         threshold = self.config.checkpoint_kernel_seconds
         if threshold is not None and duration >= threshold:
             # Automatic checkpoint after long-running kernels (§4.6).
             yield from self.memory.checkpoint(ctx)
+
+    def _retry_later(self, ctx: Context, backoff: float, reason: str) -> Generator:
+        """No device memory, no victim: unbind, retry later (§4.5).
+
+        Swaps ``ctx`` out, releases its vGPU, then waits until device
+        memory is freed or ``backoff`` elapses, so stuck launches do not
+        spin.  The lost time is off-device time: "preempted".  Returns
+        the next backoff (doubled, capped).
+        """
+        span = ctx.span
+        if span is not None:
+            span.push("preempted")
+        try:
+            yield from self.memory.swap_out_context(ctx, notify=False)
+            self.scheduler.release(ctx, reason)
+            # When either branch wins, the AnyOf cancels the loser: a
+            # spent timeout leaves the kernel heap, an unneeded waiter
+            # leaves memory_freed's queue — so a later notify cannot be
+            # swallowed by this retry's ghost.
+            timeout = self.env.timeout(backoff)
+            freed = self.memory.memory_freed.wait()
+            yield self.env.any_of([timeout, freed])
+        finally:
+            if span is not None:
+                span.pop()
+        return min(backoff * 2, SWAP_RETRY_MAX_BACKOFF_S)
 
     # ------------------------------------------------------------------
     # failure handling (§4.6)
@@ -1067,21 +1079,7 @@ class Dispatcher:
                 self.stats.replayed_kernels += 1
                 index += 1
             except NeedRetry:
-                span = ctx.span
-                if span is not None:
-                    span.push("preempted")
-                try:
-                    yield from self.memory.swap_out_context(ctx, notify=False)
-                    self.scheduler.release(ctx, "replay retry")
-                    # As in _launch: the losing branch is cancelled, not
-                    # left as a ghost waiter/heap entry.
-                    timeout = self.env.timeout(backoff)
-                    freed = self.memory.memory_freed.wait()
-                    yield self.env.any_of([timeout, freed])
-                finally:
-                    if span is not None:
-                        span.pop()
-                backoff = min(backoff * 2, self.config.swap_retry_max_backoff_s)
+                backoff = yield from self._retry_later(ctx, backoff, "replay retry")
         if not ctx.bound:
             yield from self.scheduler.request_binding(ctx, front=True)
         return len(pending)
@@ -1117,7 +1115,7 @@ class Dispatcher:
         self.runtime.admission.release(ctx)
         # History-estimator policies (sjf_est/hrrn) learn from every
         # completed context: measured GPU seconds keyed by its tenant.
-        estimator = getattr(self.scheduler.policy, "estimator", None)
+        estimator = self.scheduler.policy.estimator
         if estimator is not None and ctx.gpu_seconds_used > 0:
             tenant = ctx.tenant
             estimator.observe(

@@ -10,11 +10,11 @@ back to everyone) has exhibited so far.
 
 :class:`RuntimeEstimator` is that history.  It is deliberately dumb and
 deterministic: EWMA per user, EWMA per group, EWMA global.  The
-``sjf_est`` and ``hrrn`` policies in :mod:`repro.core.policies` consult
-it through duck-typed wiring (the same pattern the locality policy uses
-for the cost model): the node runtime creates one per policy instance,
-and the trace-replay harness replaces it with a single *cluster-wide*
-estimator so every node's policy shares the head node's knowledge.
+``sjf_est`` and ``hrrn`` policies in :mod:`repro.core.policies` each
+build one (``SchedulingPolicy.estimator``; ``None`` for every other
+policy), and the trace-replay harness replaces it with a single
+*cluster-wide* estimator so every node's policy shares the head node's
+knowledge.
 
 Observations arrive from two sites:
 

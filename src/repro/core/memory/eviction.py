@@ -55,12 +55,20 @@ Candidate = Tuple[Any, PageTableEntry]
 
 
 class EvictionPolicy:
-    """Orders eviction candidates; the loop evicts front-to-back."""
+    """Orders eviction candidates; the loop evicts front-to-back.
+
+    A policy writes :meth:`key`; candidates are evicted smallest key
+    first (a stable sort, so equal keys keep candidate order).
+    """
 
     name = "abstract"
 
-    def order(self, candidates: List[Candidate]) -> List[Candidate]:
+    def key(self, cand: Candidate):
+        """Sort key of one ``(context, entry)`` candidate."""
         raise NotImplementedError
+
+    def order(self, candidates: List[Candidate]) -> List[Candidate]:
+        return sorted(candidates, key=self.key)
 
 
 class LruEviction(EvictionPolicy):
@@ -68,8 +76,9 @@ class LruEviction(EvictionPolicy):
 
     name = "lru"
 
-    def order(self, candidates: List[Candidate]) -> List[Candidate]:
-        return sorted(candidates, key=lambda c: (c[1].last_use, c[1].seq))
+    def key(self, cand: Candidate):
+        pte = cand[1]
+        return (pte.last_use, pte.seq)
 
 
 class LfuEviction(EvictionPolicy):
@@ -77,10 +86,9 @@ class LfuEviction(EvictionPolicy):
 
     name = "lfu"
 
-    def order(self, candidates: List[Candidate]) -> List[Candidate]:
-        return sorted(
-            candidates, key=lambda c: (c[1].use_count, c[1].last_use, c[1].seq)
-        )
+    def key(self, cand: Candidate):
+        pte = cand[1]
+        return (pte.use_count, pte.last_use, pte.seq)
 
 
 class SecondChanceEviction(EvictionPolicy):
@@ -136,18 +144,11 @@ class CostAwareEviction(EvictionPolicy):
     def __init__(self) -> None:
         self.cost_fn: Optional[Callable[[Any, PageTableEntry], float]] = None
 
-    def order(self, candidates: List[Candidate]) -> List[Candidate]:
+    def key(self, cand: Candidate):
+        ctx, pte = cand
         if self.cost_fn is not None:
-            cost = self.cost_fn
-            return sorted(candidates, key=lambda c: (cost(c[0], c[1]), c[1].seq))
-        return sorted(
-            candidates,
-            key=lambda c: (
-                c[1].dirty_bytes() / c[1].size,
-                c[1].last_use,
-                c[1].seq,
-            ),
-        )
+            return (self.cost_fn(ctx, pte), pte.seq)
+        return (pte.dirty_bytes() / pte.size, pte.last_use, pte.seq)
 
 
 class QuotaAwareEviction(EvictionPolicy):
@@ -166,12 +167,10 @@ class QuotaAwareEviction(EvictionPolicy):
     def __init__(self) -> None:
         self.overage_fn: Optional[Callable[[Any], int]] = None
 
-    def order(self, candidates: List[Candidate]) -> List[Candidate]:
-        overage = self.overage_fn or (lambda ctx: 0)
-        return sorted(
-            candidates,
-            key=lambda c: (-overage(c[0]), c[1].last_use, c[1].seq),
-        )
+    def key(self, cand: Candidate):
+        ctx, pte = cand
+        overage = self.overage_fn(ctx) if self.overage_fn is not None else 0
+        return (-overage, pte.last_use, pte.seq)
 
 
 _POLICIES = {

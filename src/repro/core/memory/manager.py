@@ -33,7 +33,7 @@ from repro.simcuda.kernels import KernelDescriptor, KernelLaunch
 from repro.core.config import RuntimeConfig
 from repro.core.context import Context, ContextState
 from repro.core.errors import RuntimeApiError, RuntimeErrorCode
-from repro.core.memory.eviction import make_eviction_policy
+from repro.core.memory.eviction import QuotaAwareEviction, make_eviction_policy
 from repro.core.memory.nested import NestedStructure
 from repro.core.memory.page_table import EntryType, PageTable, PageTableEntry
 from repro.core.memory.swap import SwapArea
@@ -105,10 +105,10 @@ class MemoryManager:
             buckets=BYTES_BUCKETS,
         )
         self.page_table = PageTable()
-        self.swap = SwapArea(config.host_swap_capacity_bytes, config.host_memcpy_bps)
+        self.swap = SwapArea(config.host_swap_capacity_bytes)
         #: Victim ordering for partial (device-wide) eviction.
         self.eviction_policy = make_eviction_policy(config.eviction_policy)
-        if hasattr(self.eviction_policy, "overage_fn"):
+        if isinstance(self.eviction_policy, QuotaAwareEviction):
             # quota_aware ordering (repro.qos): over-quota tenants'
             # entries become everyone's preferred victims.
             self.eviction_policy.overage_fn = self._tenant_overage

@@ -1,11 +1,11 @@
 """Pluggable scheduling policies (paper §2 "Configurable Scheduling").
 
-A policy makes two decisions for the dispatcher:
-
-- *placement*: given a context to bind and the currently idle vGPUs,
-  which vGPU to use (:meth:`SchedulingPolicy.select_vgpu`);
-- *ordering*: given the waiting-contexts list and a freed vGPU, which
-  context to serve next (:meth:`SchedulingPolicy.pick_next`).
+A policy decides *ordering*: given the waiting-contexts list and a freed
+vGPU, which context to serve next (:meth:`SchedulingPolicy.pick_next`).
+Most policies only write :meth:`SchedulingPolicy.key`; the context with
+the smallest key is served.  *Placement* (which idle vGPU a context is
+bound to) is one rule for every policy and lives in
+:meth:`repro.core.scheduler.Scheduler._choose_vgpu`.
 
 Three policies from the paper's discussion are provided:
 
@@ -51,13 +51,10 @@ the history-driven trio the trace-replay bake-off compares
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import Context
 from repro.core.estimator import RuntimeEstimator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.vgpu import VirtualGPU
 
 __all__ = [
     "SchedulingPolicy",
@@ -77,64 +74,29 @@ __all__ = [
 
 
 class SchedulingPolicy:
-    """Interface for dispatcher scheduling decisions."""
+    """Orders the waiting-contexts list: the waiter with the smallest
+    :meth:`key` is served next."""
 
     name = "abstract"
 
-    def select_vgpu(
-        self,
-        ctx: Context,
-        idle_vgpus: Sequence["VirtualGPU"],
-        active_per_device: Dict[int, int],
-        mem_needed: int = 0,
-    ) -> Optional["VirtualGPU"]:
-        """Choose a vGPU for ``ctx`` among ``idle_vgpus`` (None = decline).
+    #: Runtime history the dispatcher feeds at every context exit; only
+    #: the history-driven policies (``sjf_est``, ``hrrn``) have one.
+    estimator: Optional[RuntimeEstimator] = None
 
-        ``active_per_device`` maps device id → number of currently bound
-        vGPUs on that device (for load balancing).
-        """
+    def key(self, ctx: Context, now: float):
+        """Sort key of one waiter at simulated time ``now``."""
         raise NotImplementedError
 
     def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
         """Choose the next waiting context to serve."""
-        raise NotImplementedError
-
-
-class _BasePolicy(SchedulingPolicy):
-    """Shared placement heuristic: keep active vGPU counts uniform across
-    devices (the paper's load balancing), avoid devices that cannot hold
-    the context's data right now, then favour faster devices."""
-
-    def select_vgpu(
-        self,
-        ctx: Context,
-        idle_vgpus: Sequence["VirtualGPU"],
-        active_per_device: Dict[int, int],
-        mem_needed: int = 0,
-    ) -> Optional["VirtualGPU"]:
-        if not idle_vgpus:
+        if not waiting:
             return None
-
-        def key(vgpu: "VirtualGPU"):
-            device = vgpu.device
-            memory_short = 1 if device.allocator.free_bytes < mem_needed else 0
-            active = active_per_device.get(device.device_id, 0)
-            # Load per unit of compute: on homogeneous devices this is the
-            # paper's uniform-active-vGPU balancing; on heterogeneous
-            # nodes it avoids oversubscribing the slow GPU.
-            weighted_load = (active + 1) / device.spec.effective_gflops
-            return (
-                memory_short,
-                weighted_load,
-                -device.spec.effective_gflops,
-                device.device_id,
-                vgpu.index,
-            )
-
-        return min(idle_vgpus, key=key)
+        now = waiting[0].env.now
+        key = self.key
+        return min(waiting, key=lambda ctx: key(ctx, now))
 
 
-class FcfsPolicy(_BasePolicy):
+class FcfsPolicy(SchedulingPolicy):
     """First-come-first-served (paper's experimental policy)."""
 
     name = "fcfs"
@@ -143,37 +105,26 @@ class FcfsPolicy(_BasePolicy):
         return waiting[0] if waiting else None
 
 
-class SjfPolicy(_BasePolicy):
+class SjfPolicy(SchedulingPolicy):
     """Shortest-job-first on the profiling hint; FCFS among unknowns."""
 
     name = "sjf"
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(
-            waiting,
-            key=lambda c: (
-                c.estimated_gpu_seconds
-                if c.estimated_gpu_seconds is not None
-                else float("inf"),
-                c.context_id,
-            ),
-        )
+    def key(self, ctx: Context, now: float):
+        est = ctx.estimated_gpu_seconds
+        return (est if est is not None else float("inf"), ctx.context_id)
 
 
-class CreditPolicy(_BasePolicy):
+class CreditPolicy(SchedulingPolicy):
     """Serve the context that has consumed the least GPU time so far."""
 
     name = "credit"
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(waiting, key=lambda c: (c.gpu_seconds_used, c.context_id))
+    def key(self, ctx: Context, now: float):
+        return (ctx.gpu_seconds_used, ctx.context_id)
 
 
-class DeadlinePolicy(_BasePolicy):
+class DeadlinePolicy(SchedulingPolicy):
     """Earliest-deadline-first for QoS requirements (paper §2: "yet
     another scheduling policy may be adopted in the presence of expected
     quality of service requirements (e.g.: execution deadlines)").
@@ -184,19 +135,12 @@ class DeadlinePolicy(_BasePolicy):
 
     name = "edf"
 
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(
-            waiting,
-            key=lambda c: (
-                c.deadline_s if c.deadline_s is not None else float("inf"),
-                c.context_id,
-            ),
-        )
+    def key(self, ctx: Context, now: float):
+        deadline = ctx.deadline_s
+        return (deadline if deadline is not None else float("inf"), ctx.context_id)
 
 
-class WeightedFairPolicy(_BasePolicy):
+class WeightedFairPolicy(SchedulingPolicy):
     """Weighted-fair queueing across *tenants* (repro.qos).
 
     Each tenant's accumulated GPU seconds are normalized by its weight
@@ -210,31 +154,24 @@ class WeightedFairPolicy(_BasePolicy):
 
     name = "wfq"
 
-    @staticmethod
-    def _virtual_time(ctx: Context) -> float:
+    def key(self, ctx: Context, now: float):
         tenant = getattr(ctx, "tenant", None)
         if tenant is not None:
-            return tenant.normalized_gpu_seconds()
-        return ctx.gpu_seconds_used
-
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(
-            waiting,
-            key=lambda c: (self._virtual_time(c), c.gpu_seconds_used, c.context_id),
-        )
+            virtual_time = tenant.normalized_gpu_seconds()
+        else:
+            virtual_time = ctx.gpu_seconds_used
+        return (virtual_time, ctx.gpu_seconds_used, ctx.context_id)
 
 
-class LocalityPolicy(_BasePolicy):
+class LocalityPolicy(SchedulingPolicy):
     """Bind waiters where their data lives (§4.4 cost-driven binding).
 
     Ordering consults the node's :class:`TransferCostModel` (wired by the
-    runtime after construction, like the eviction policies' hooks): when
-    a vGPU frees, the waiter with the cheapest modeled time-to-first-
-    kernel over the currently idle vGPUs goes next — typically the one
-    whose retained working set is resident on the freed device.  Without
-    the wiring (or with no idle vGPU) it degrades to FCFS.
+    runtime after construction): when a vGPU frees, the waiter with the
+    cheapest modeled time-to-first-kernel over the currently idle vGPUs
+    (``cost_model.scheduler.idle_vgpus()``) goes next — typically the
+    one whose retained working set is resident on the freed device.
+    Without the wiring (or with no idle vGPU) it degrades to FCFS.
 
     Starvation guard: each time the front (oldest) waiter is passed over
     for a younger waiter with better locality, its skip counter ticks;
@@ -250,22 +187,20 @@ class LocalityPolicy(_BasePolicy):
 
     def __init__(self) -> None:
         self.cost_model = None
-        #: Wired by the runtime: () -> currently idle vGPUs.
-        self.idle_vgpus_fn = None
 
     def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
         if not waiting:
             return None
         front = waiting[0]
-        if self.cost_model is None or self.idle_vgpus_fn is None:
+        model = self.cost_model
+        if model is None:
             return front
         if front.locality_skips >= self.max_skips:
             front.locality_skips = 0
             return front
-        idle = self.idle_vgpus_fn()
+        idle = model.scheduler.idle_vgpus()
         if not idle:
             return front
-        model = self.cost_model
         active = model.scheduler.active_per_device()
 
         def best_cost(ctx: Context) -> float:
@@ -280,7 +215,30 @@ class LocalityPolicy(_BasePolicy):
         return chosen
 
 
-class EstimatorSjfPolicy(_BasePolicy):
+class _EstimatePolicy(SchedulingPolicy):
+    """Orders on estimated remaining work, from a node-local
+    :class:`~repro.core.estimator.RuntimeEstimator` (the dispatcher
+    feeds it at context exit; the trace-replay harness swaps in one
+    shared cluster-wide instance)."""
+
+    #: Estimate used when neither history nor a handshake hint exists.
+    default_estimate_s = float("inf")
+
+    def __init__(self) -> None:
+        self.estimator = RuntimeEstimator()
+
+    def _remaining(self, ctx: Context) -> float:
+        """Learned estimate, else the handshake hint, else the default,
+        minus the GPU seconds already consumed."""
+        est = self.estimator.predict_for(ctx)
+        if est is None:
+            est = ctx.estimated_gpu_seconds
+        if est is None:
+            est = self.default_estimate_s
+        return max(est - ctx.gpu_seconds_used, 0.0)
+
+
+class EstimatorSjfPolicy(_EstimatePolicy):
     """Shortest-remaining-job-first on learned runtime estimates.
 
     Production traces carry no profiling hints, so plain ``sjf`` (which
@@ -290,83 +248,44 @@ class EstimatorSjfPolicy(_BasePolicy):
     history with group/global fallback — and orders waiters by
     *remaining* estimated work (estimate minus GPU seconds already
     consumed), so a preempted job near completion is not re-queued
-    behind fresh short jobs.
-
-    The estimator is wired like the locality policy's cost model: the
-    node runtime supplies a node-local one fed by the dispatcher at
-    context exit, and the trace-replay harness overrides it with a
-    shared cluster-wide instance.  A handshake hint, when present,
-    serves as the cold-start fallback; with neither, the waiter sorts
-    last among estimated ones (FCFS among fully unknown).
+    behind fresh short jobs.  A handshake hint, when present, serves as
+    the cold-start fallback; with neither, the waiter sorts last among
+    estimated ones (FCFS among fully unknown).
     """
 
     name = "sjf_est"
 
-    def __init__(self) -> None:
-        #: Wired by the runtime / trace-replay harness.
-        self.estimator: Optional[RuntimeEstimator] = None
-
-    def _remaining(self, ctx: Context) -> float:
-        est = None
-        if self.estimator is not None:
-            est = self.estimator.predict_for(ctx)
-        if est is None:
-            est = ctx.estimated_gpu_seconds
-        if est is None:
-            return float("inf")
-        return max(est - ctx.gpu_seconds_used, 0.0)
-
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-        return min(waiting, key=lambda c: (self._remaining(c), c.context_id))
+    def key(self, ctx: Context, now: float):
+        return (self._remaining(ctx), ctx.context_id)
 
 
-class HrrnPolicy(_BasePolicy):
+class HrrnPolicy(_EstimatePolicy):
     """Highest-response-ratio-next (Brinch Hansen's aging SJF).
 
     Serve the waiter with the largest ``(wait + s) / s`` where ``wait``
     is time spent on the waiting list (``ctx.wait_since``, stamped by
     the scheduler at enqueue) and ``s`` the estimated service time from
     the shared :class:`~repro.core.estimator.RuntimeEstimator` (same
-    wiring and fallbacks as ``sjf_est``).  Short jobs win when waits are
-    comparable — but every second queued inflates a long job's ratio,
-    so nothing starves.  With no estimate anywhere the service time
-    defaults to 1.0 modeled second, degrading to longest-wait-first
-    (= FCFS order).
+    lookup as ``sjf_est``).  Short jobs win when waits are comparable —
+    but every second queued inflates a long job's ratio, so nothing
+    starves.  With no estimate anywhere the service time defaults to
+    1.0 modeled second, degrading to longest-wait-first (= FCFS order).
     """
 
     name = "hrrn"
 
+    default_estimate_s = 1.0
+
     #: Service-time floor: keeps ratios finite for near-zero estimates.
     min_service_s = 1e-3
 
-    def __init__(self) -> None:
-        self.estimator: Optional[RuntimeEstimator] = None
-
-    def _service(self, ctx: Context) -> float:
-        est = None
-        if self.estimator is not None:
-            est = self.estimator.predict_for(ctx)
-        if est is None:
-            est = ctx.estimated_gpu_seconds
-        if est is None:
-            est = 1.0
-        return max(max(est - ctx.gpu_seconds_used, 0.0), self.min_service_s)
-
-    def pick_next(self, waiting: Sequence[Context]) -> Optional[Context]:
-        if not waiting:
-            return None
-
-        def ratio(ctx: Context) -> float:
-            wait = max(ctx.env.now - ctx.wait_since, 0.0)
-            service = self._service(ctx)
-            return (wait + service) / service
-
-        return min(waiting, key=lambda c: (-ratio(c), c.context_id))
+    def key(self, ctx: Context, now: float):
+        wait = max(now - ctx.wait_since, 0.0)
+        service = max(self._remaining(ctx), self.min_service_s)
+        return (-((wait + service) / service), ctx.context_id)
 
 
-class FairSharePolicy(_BasePolicy):
+class FairSharePolicy(SchedulingPolicy):
     """Hierarchical unweighted fair share with usage decay: group, then
     user, then FCFS.
 
@@ -408,6 +327,9 @@ class FairSharePolicy(_BasePolicy):
         self.half_life_s = half_life_s
         #: tenant name -> [decayed_usage, last_raw_usage, last_update_t]
         self._ledger: Dict[str, List[float]] = {}
+        #: Decayed usage per tenant / per group, refreshed every pick.
+        self._usage: Dict[str, float] = {}
+        self._group_usage: Dict[str, float] = {}
 
     def _decayed_usage(self, tenant, now: float) -> float:
         """Incrementally maintained ``Σ Δusage·2^(-age/half_life)``."""
@@ -436,23 +358,21 @@ class FairSharePolicy(_BasePolicy):
                 group = getattr(tenant, "group", None)
                 if group is not None:
                     group_usage[group] = group_usage.get(group, 0.0) + used
+        self._usage, self._group_usage = usage, group_usage
+        return super().pick_next(waiting)
 
-        def key(ctx: Context):
-            tenant = getattr(ctx, "tenant", None)
-            if tenant is None:
-                return (ctx.gpu_seconds_used, ctx.gpu_seconds_used,
-                        ctx.context_id)
-            t_used = usage.get(tenant.name)
-            if t_used is None:
-                t_used = self._decayed_usage(tenant, now)
-            group = getattr(tenant, "group", None)
-            g_used = group_usage.get(group, t_used)
-            return (g_used, t_used, ctx.context_id)
-
-        return min(waiting, key=key)
+    def key(self, ctx: Context, now: float):
+        tenant = getattr(ctx, "tenant", None)
+        if tenant is None:
+            return (ctx.gpu_seconds_used, ctx.gpu_seconds_used, ctx.context_id)
+        t_used = self._usage.get(tenant.name)
+        if t_used is None:
+            t_used = self._decayed_usage(tenant, now)
+        g_used = self._group_usage.get(getattr(tenant, "group", None), t_used)
+        return (g_used, t_used, ctx.context_id)
 
 
-class LotteryPolicy(_BasePolicy):
+class LotteryPolicy(SchedulingPolicy):
     """Ticket-weighted lottery scheduling (proportional-share).
 
     Every waiting context holds tickets equal to its tenant's contract

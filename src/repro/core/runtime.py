@@ -20,10 +20,11 @@ from repro.core.connection import ConnectionManager
 from repro.core.context import Context, ContextState
 from repro.core.dispatcher import Dispatcher
 from repro.core.memory.costmodel import TransferCostModel
+from repro.core.memory.eviction import CostAwareEviction
 from repro.core.memory.manager import MemoryManager
 from repro.core.migration import MigrationManager
 from repro.core.offload import OffloadManager
-from repro.core.policies import make_policy
+from repro.core.policies import FairSharePolicy, LocalityPolicy, make_policy
 from repro.core.scheduler import Scheduler
 from repro.core.stats import RuntimeStats
 from repro.obs import MetricsRegistry, SLOMonitor, Tracer
@@ -143,29 +144,19 @@ class NodeRuntime:
         )
         self.memory.cost_model = self.cost_model
         policy = self.scheduler.policy
-        if hasattr(policy, "cost_model"):
+        if isinstance(policy, LocalityPolicy):
             policy.cost_model = self.cost_model
-        if hasattr(policy, "idle_vgpus_fn"):
-            policy.idle_vgpus_fn = self.scheduler.idle_vgpus
         if self.config.locality_binding or self.config.policy == "locality":
             self.scheduler.cost_model = self.cost_model
         if self.config.locality_binding:
             self.migration.cost_model = self.cost_model
-            if hasattr(self.memory.eviction_policy, "cost_fn"):
+            if isinstance(self.memory.eviction_policy, CostAwareEviction):
                 self.memory.eviction_policy.cost_fn = (
                     lambda ctx, pte: self.cost_model.evict_cost(ctx, pte, env.now)
                 )
-        # History-estimator policies (sjf_est/hrrn): a node-local
-        # estimator fed by the dispatcher at context exit.  The
-        # trace-replay harness replaces it with one shared cluster-wide
-        # instance so every node's policy sees the head node's history.
-        if hasattr(policy, "estimator") and policy.estimator is None:
-            from repro.core.estimator import RuntimeEstimator
-
-            policy.estimator = RuntimeEstimator()
         # Fair-share needs the whole tenant population for its group
         # aggregates, not just the tenants currently waiting.
-        if hasattr(policy, "tenants_fn") and policy.tenants_fn is None:
+        if isinstance(policy, FairSharePolicy):
             policy.tenants_fn = self.qos.tenants
 
     # ------------------------------------------------------------------

@@ -5,8 +5,9 @@ contexts queue here for a vGPU; *assigned* contexts are the ones bound;
 the *failed* list is managed by the dispatcher's recovery path but vGPU
 retirement on device failure happens here.
 
-The scheduling policy decides both which waiting context is served when a
-vGPU frees and which idle vGPU a context is placed on.
+The scheduling policy decides which waiting context is served when a
+vGPU frees; placement on an idle vGPU is one rule for every policy
+(:meth:`Scheduler._choose_vgpu`).
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class Scheduler:
         return self._usable_vgpus
 
     def idle_vgpus(self) -> List[VirtualGPU]:
-        return [v for v in self.vgpus if v.idle and not getattr(v, "reserved", False)]
+        return [v for v in self.vgpus if v.idle and not v.reserved]
 
     def active_per_device(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
@@ -211,19 +212,13 @@ class Scheduler:
         already holds its configured fraction of the node's vGPUs
         (rounded up to at least one) — the context must wait even if a
         vGPU is idle, leaving headroom for other tenants."""
-        tenant = getattr(ctx, "tenant", None)
-        if (
-            not self.config.qos_enabled
-            or tenant is None
-            or tenant.vgpu_share is None
-        ):
+        if not self.config.qos_enabled:
+            return False
+        tenant = ctx.tenant
+        if tenant is None or tenant.vgpu_share is None:
             return False
         cap = max(1, int(tenant.vgpu_share * self.total_vgpus))
-        held = sum(
-            1
-            for c in self.bound_contexts()
-            if getattr(c, "tenant", None) is tenant
-        )
+        held = sum(1 for c in self.bound_contexts() if c.tenant is tenant)
         return held >= cap
 
     def request_binding(self, ctx: Context, front: bool = False) -> Generator:
@@ -266,7 +261,7 @@ class Scheduler:
         # A vGPU may be idle while waiters exist (policy reordering);
         # try a grant round before blocking.
         self._grant_waiting()
-        span = getattr(ctx, "span", None)
+        span = ctx.span
         if span is not None:
             span.push("bind_wait")
         try:
@@ -301,10 +296,16 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def _choose_vgpu(self, ctx: Context, idle: List[VirtualGPU]) -> VirtualGPU:
+        """Placement, one rule for every policy: the cost model's
+        cheapest vGPU when it is wired, else keep active vGPU counts
+        uniform across devices (the paper's load balancing), avoid
+        devices that cannot hold the context's data right now, then
+        favour faster devices."""
         mem_needed = self.mem_needed_fn(ctx)
+        active_per_device = self.active_per_device()
         if self.cost_model is not None:
             scored = self.cost_model.score_candidates(
-                ctx, idle, self.active_per_device(), mem_needed
+                ctx, idle, active_per_device, mem_needed
             )
             if scored:
                 chosen, _cost = min(
@@ -314,8 +315,24 @@ class Scheduler:
                 if self.obs.enabled:
                     self.obs.binding_decision(ctx, chosen, scored)
                 return chosen
-        vgpu = self.policy.select_vgpu(ctx, idle, self.active_per_device(), mem_needed)
-        return vgpu if vgpu is not None else idle[0]
+
+        def key(vgpu: VirtualGPU):
+            device = vgpu.device
+            memory_short = 1 if device.allocator.free_bytes < mem_needed else 0
+            active = active_per_device.get(device.device_id, 0)
+            # Load per unit of compute: on homogeneous devices this is the
+            # paper's uniform-active-vGPU balancing; on heterogeneous
+            # nodes it avoids oversubscribing the slow GPU.
+            weighted_load = (active + 1) / device.spec.effective_gflops
+            return (
+                memory_short,
+                weighted_load,
+                -device.spec.effective_gflops,
+                device.device_id,
+                vgpu.index,
+            )
+
+        return min(idle, key=key)
 
     def _bind(self, ctx: Context, vgpu: VirtualGPU) -> None:
         vgpu.bind(ctx)

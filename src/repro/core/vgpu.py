@@ -51,6 +51,9 @@ class VirtualGPU:
         self.total_bound_seconds = 0.0
         self._bound_at: Optional[float] = None
         self.retired = False
+        #: Held by the migration manager as a migration destination: idle
+        #: but not offered to waiters.
+        self.reserved = False
         #: Tracing bus (repro.obs), injected by the scheduler at spawn so
         #: every bind/unbind — scheduler grant, migration, recovery — is
         #: observed at this single choke point.

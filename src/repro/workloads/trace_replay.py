@@ -571,7 +571,7 @@ def replay_trace(
     for node in cluster.nodes:
         runtime = node.runtime
         sched_policy = runtime.scheduler.policy
-        if hasattr(sched_policy, "estimator"):
+        if sched_policy.estimator is not None:  # sjf_est / hrrn
             sched_policy.estimator = shared_estimator
         for user, group in users.items():
             runtime.qos.get_or_create(user, group=group)

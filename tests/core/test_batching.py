@@ -294,8 +294,8 @@ def test_graph_launch_unknown_handle_is_typed_error():
 
 def test_repeated_batches_auto_instantiate_and_replay():
     """Journal-based detection: identical launch-only batch frames are
-    instantiated after graph_min_repeats and replayed thereafter."""
-    h = Harness(config=graph_config(batch_max_calls=8, graph_min_repeats=2))
+    instantiated after GRAPH_MIN_REPEATS and replayed thereafter."""
+    h = Harness(config=graph_config(batch_max_calls=8))
     kernel = make_kernel()
 
     def app():
@@ -425,5 +425,3 @@ def test_batch_config_validation():
         RuntimeConfig(batch_max_delay_s=0.0)
     with pytest.raises(ValueError):
         RuntimeConfig(launch_control_plane_s=-1e-6)
-    with pytest.raises(ValueError):
-        RuntimeConfig(graph_min_repeats=0)

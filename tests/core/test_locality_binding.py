@@ -196,15 +196,16 @@ def test_locality_policy_prefers_cheapest_waiter():
     dev0 = _fake_device(0)
     v0 = _fake_vgpu(dev0)
     costs = {1: 5.0, 2: 0.5}
+    scheduler = SimpleNamespace(active_per_device=lambda: {},
+                                idle_vgpus=lambda: [v0])
     policy.cost_model = SimpleNamespace(
-        scheduler=SimpleNamespace(active_per_device=lambda: {}),
+        scheduler=scheduler,
         bind_cost=lambda ctx, v, active: costs[ctx.context_id],
     )
-    policy.idle_vgpus_fn = lambda: [v0]
     a, b = _waiter(1), _waiter(2)
     assert policy.pick_next([a, b]) is b
     # No idle vGPU to score against: FCFS.
-    policy.idle_vgpus_fn = lambda: []
+    scheduler.idle_vgpus = lambda: []
     assert policy.pick_next([a, b]) is a
 
 
@@ -216,11 +217,11 @@ def test_locality_policy_never_starves_the_front_waiter():
     v0 = _fake_vgpu(dev0)
     old = _waiter(1)
     policy.cost_model = SimpleNamespace(
-        scheduler=SimpleNamespace(active_per_device=lambda: {}),
+        scheduler=SimpleNamespace(active_per_device=lambda: {},
+                                  idle_vgpus=lambda: [v0]),
         # Every younger waiter always models cheaper than the old one.
         bind_cost=lambda ctx, v, active: 0.0 if ctx.context_id != 1 else 9.0,
     )
-    policy.idle_vgpus_fn = lambda: [v0]
     served = []
     next_id = 2
     waiting = [old, _waiter(next_id)]

@@ -249,6 +249,49 @@ def test_graph_replay_phase_and_events_appear():
     assert all(any(n == "exec" for n, _ in pb.phases) for pb in graph_pbs)
 
 
+def test_graph_replay_swap_retry_is_preempted_time():
+    """A graph replay that finds no device memory (inter-application swap
+    off, a hog holding the card) unbinds and retries like a plain launch:
+    the wait shows up as the "preempted" phase of the graph launch, and
+    its phases still sum to wall time."""
+    h = traced(graph_replay_enabled=True, enable_inter_swap=False,
+               vgpus_per_device=2)
+    h.spawn(h.simple_app("hog", alloc_mib=2048, kernel_seconds=0.1,
+                         cpu_phase_s=1.0))
+
+    def app():
+        from repro.simcuda import FatBinary, KernelDescriptor, TESLA_C2050
+
+        yield h.env.timeout(0.5)  # the hog's data is resident by now
+        fe = h.frontend("gapp")
+        yield from fe.open()
+        kernel = KernelDescriptor(
+            name="g-k", flops=0.05 * TESLA_C2050.effective_gflops * 1e9
+        )
+        handle = yield from fe.register_fat_binary(FatBinary())
+        yield from fe.register_function(handle, kernel)
+        ptr = yield from fe.cuda_malloc(1536 * MIB)
+        yield from fe.cuda_memcpy_h2d(ptr, 1536 * MIB)
+        yield from fe.graph_begin_capture()
+        for _ in range(2):
+            yield from fe.launch_kernel(kernel, [ptr])
+        graph = yield from fe.graph_end_capture()
+        yield from fe.graph_launch(graph)
+        yield from fe.cuda_thread_exit()
+
+    h.spawn(app())
+    h.run()
+    obs = h.runtime.obs
+    assert h.stats.swap_retries > 0
+    _assert_breakdowns_consistent(obs)
+    (graph_pb,) = [
+        pb for pb in obs.events_of(PhaseBreakdown)
+        if pb.method == "reproGraphLaunch"
+    ]
+    preempted = sum(dt for n, dt in graph_pb.phases if n == "preempted")
+    assert preempted > 0.1
+
+
 def test_call_events_carry_tenant_label():
     h = traced(vgpus_per_device=2)
 
