@@ -66,7 +66,7 @@ def restore_context(
     relocates the application's saved pointers with it).
 
     The caller then binds the context and runs
-    :meth:`MemoryManager.replay` (with the translated journal installed
+    :meth:`Dispatcher.replay_journal` (the translated journal is installed
     on ``ctx.replay_journal``) to regenerate device-only state.
     """
     translation: Dict[int, int] = {}

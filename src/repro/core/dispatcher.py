@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.net.rpc import BatchRequest, BatchResponse, Request, Response
 from repro.net.socket import Socket
@@ -50,9 +50,10 @@ __all__ = ["Dispatcher", "GraphInstance"]
 #: profiling hint (estimated GPU seconds, used by the SJF policy).
 HELLO_METHOD = "reproHello"
 
-#: Per-call software cost of interception/dispatch inside the runtime
-#: daemon.  A batched submission pays it once per *batch* (one scheduler
-#: round-trip), not once per call.
+#: Software cost of interception/dispatch inside the runtime daemon, paid
+#: once per frame (one scheduler round trip): a plain call is a frame of
+#: one, a batch pays it once for all its calls, and a call retried after
+#: a device-failure rebind does not pay it again.
 DISPATCHER_OVERHEAD_S = 30e-6
 
 #: How many times an identical launch-only batch signature must be seen
@@ -63,6 +64,18 @@ GRAPH_MIN_REPEATS = 2
 SWAP_RETRY_MAX_BACKOFF_S = 1.0
 
 _graph_ids = itertools.count(1)
+
+
+def _launch_record(args: dict, grid, block) -> KernelLaunch:
+    """The launch record of an intercepted ``cudaLaunch`` (virtual
+    pointers), as the journal and graph templates hold it."""
+    return KernelLaunch(
+        kernel=args["kernel"],
+        grid=grid,
+        block=block,
+        arg_pointers=tuple(args.get("args", ())),
+        read_only=tuple(args.get("read_only", ())) or None,
+    )
 
 
 @dataclasses.dataclass
@@ -162,15 +175,21 @@ class Dispatcher:
 
     # ------------------------------------------------------------------
     def _serve_connection(self, sock: Socket) -> Generator:
-        # Generator locals persist across yields: bind the per-call
+        """Serve one connection frame by frame.
+
+        A plain :class:`Request` is a frame of one call, a
+        :class:`BatchRequest` a frame of many.  Each frame holds the
+        context lock once, runs through :meth:`_serve_batch` and is
+        answered in kind; preemption, migration and prefetch run at
+        frame boundaries only.
+        """
+        # Generator locals persist across yields: bind the per-frame
         # constants once instead of chasing attribute chains on every
         # iteration of the hottest loop in the simulator.
         env = self.env
         obs = self.obs
         stats = self.stats
         recv = sock.recv
-        latency_observe = self._call_latency.observe
-        slo_observe = self.runtime.slo.observe_call
         migration = self.runtime.migration
         ctx = Context(env, owner=sock.peer_name)
         ctx.enter_cpu_phase(env.now)
@@ -178,44 +197,135 @@ class Dispatcher:
         lock_acquire = ctx.lock.acquire
         lock_release = ctx.lock.release
         while True:
-            req: Request = yield recv()
+            frame = yield recv()
             ctx.leave_cpu_phase()
-            if isinstance(req, BatchRequest):
-                # Control-plane batching: the whole frame executes in one
-                # scheduler round-trip; preemption/migration/prefetch run
-                # only at the batch boundary.
-                exited = yield from self._serve_batch(sock, ctx, req)
-                if exited:
-                    return
-                if self._quantum_exhausted(ctx):
-                    yield from self._preempt(ctx)
-                migration.maybe_migrate(ctx)
-                self._maybe_prefetch(ctx)
-                continue
-            span = None
+            batched = type(frame) is BatchRequest
+            if batched:
+                calls = frame.calls
+                stats.batches_submitted += 1
+                stats.batched_calls += len(calls)
+                if obs.enabled:
+                    obs.batch_submit(ctx, len(calls), frame.wire_bytes)
+            else:
+                calls = [frame]
+            spans = None
             if obs.enabled:
-                # The span's clock starts at the client's send timestamp,
-                # so the request's wire leg lands in the "rpc" phase.
-                span = CallSpan(
-                    env,
-                    trace_id=getattr(req, "trace_id", None),
-                    span_id=getattr(req, "span_id", None) or req.request_id,
-                    begin_at=getattr(req, "sent_at", None),
-                )
-                ctx.span = span
-                span.push("queue_wait")
+                # Each call's clock starts at its client-side send (or,
+                # batched, enqueue) time.  The frame's request wire leg
+                # is credited once, to the first call; the others were
+                # journaled the whole way (wire_at=now).  Every call
+                # then waits for the context lock in "queue_wait".
+                spans = []
+                for i, req in enumerate(calls):
+                    span = CallSpan(
+                        env,
+                        trace_id=req.trace_id,
+                        span_id=req.span_id or req.request_id,
+                        begin_at=req.sent_at,
+                        wire_at=frame.sent_at if i == 0 else env.now,
+                    )
+                    span.push("queue_wait")
+                    spans.append(span)
+                ctx.span = spans[0]
             yield lock_acquire()
+            try:
+                responses, exited = yield from self._serve_batch(
+                    ctx, calls, spans, batched
+                )
+            finally:
+                if spans is not None:
+                    # Everything from here until the reply lands is its
+                    # wire leg, credited once, to the tail call's span.
+                    spans[-1].push("rpc")
+                ctx.enter_cpu_phase(env.now)
+                lock_release()
+            if batched:
+                resp = BatchResponse(request_id=frame.request_id, responses=responses)
+            else:
+                resp = responses[0]
+            yield from sock.send(resp, nbytes=resp.wire_bytes)
+            if spans is not None:
+                ctx.span = None
+                error = responses[-1].error
+                obs.phase_breakdown(
+                    ctx, calls[-1].method, spans[-1],
+                    error=type(error).__name__ if error is not None else None,
+                )
+            if exited:
+                return
+            if self._quantum_exhausted(ctx):
+                # Preemptive time-slicing (repro.qos): the context burned
+                # its vGPU quantum while others queue — unbind it at this
+                # frame boundary (delayed binding makes that safe, §4.4)
+                # and let the policy re-order who goes next.
+                yield from self._preempt(ctx)
+            # The application is back in a CPU phase: a faster idle GPU
+            # may now claim it (dynamic binding, §5.3.4).
+            migration.maybe_migrate(ctx)
+            self._maybe_prefetch(ctx)
+
+    def _serve_batch(
+        self,
+        ctx: Context,
+        calls: List[Request],
+        spans: Optional[List[CallSpan]],
+        batched: bool,
+    ) -> Generator:
+        """Run one frame's calls in order; the context lock is held.
+
+        ``DISPATCHER_OVERHEAD_S`` (one scheduler round trip) is charged
+        once per frame, inside the first call's timed window.  A call
+        that hits a failed device rebinds the context, replays its
+        journal and retries (§4.6).  Once a call fails, the rest of the
+        frame is answered with typed ``BATCH_ABORTED`` errors while
+        earlier results stand.  A batch frame that matches an
+        instantiated graph replays it on its tail call and the other
+        calls are absorbed; a replay error is reported by every call.
+
+        Returns ``(responses, exited)``: ``exited`` is True once an EXIT
+        call has run, whether or not it errored.
+        """
+        env = self.env
+        obs = self.obs
+        stats = self.stats
+        latency_observe = self._call_latency.observe
+        slo_observe = self.runtime.slo.observe_call
+        if batched:
+            instance = self._match_graph(ctx, calls)
+            last = len(calls) - 1
+        else:
+            instance, last = None, 0
+        responses: List[Response] = []
+        exited = False
+        first_error: Optional[BaseException] = None
+        first_error_at = 0
+        for i, req in enumerate(calls):
+            span = spans[i] if spans is not None else None
             if span is not None:
-                span.pop()
-            value, error, resp_bytes = None, None, 0
+                span.pop()  # its queue_wait ends; execution begins
+                ctx.span = span
             begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
             t0 = env.now
-            try:
+            if i == 0:
+                yield env.timeout(DISPATCHER_OVERHEAD_S)
+            value, resp_bytes, error = None, 0, None
+            if first_error is not None:
+                error = RuntimeApiError(
+                    RuntimeErrorCode.BATCH_ABORTED,
+                    f"call #{i + 1} followed failed call "
+                    f"#{first_error_at + 1}: {first_error}",
+                )
+            elif instance is None or i == last:
                 while True:
                     try:
                         if ctx.state is ContextState.FAILED:
                             yield from self._recover(ctx)
-                        value, resp_bytes = yield from self._dispatch(ctx, req)
+                        if instance is None:
+                            value, resp_bytes = yield from self._dispatch(ctx, req)
+                        else:
+                            yield from self._execute_graph(
+                                ctx, instance, self._launch_records(calls)
+                            )
                         ctx.rebind_attempts = 0
                         break
                     except CudaRuntimeError as exc:
@@ -231,153 +341,9 @@ class Dispatcher:
                     except RuntimeApiError as exc:
                         error = exc
                         break
-            finally:
-                elapsed = env.now - t0
-                latency_observe(elapsed)
-                slo_observe(ctx, elapsed)
-                if begin_at is not None:
-                    obs.call_end(
-                        ctx, req.method, begin_at,
-                        error=type(error).__name__ if error is not None else None,
-                    )
-                if span is not None:
-                    # Everything from here until the response lands is
-                    # the reply's wire leg.
-                    span.push("rpc")
-                ctx.enter_cpu_phase(env.now)
-                lock_release()
-            resp = Response(
-                request_id=req.request_id,
-                value=value,
-                error=error,
-                payload_bytes=resp_bytes,
-            )
-            stats.calls_served += 1
-            yield from sock.send(resp, nbytes=resp.wire_bytes)
-            if span is not None:
-                ctx.span = None
-                obs.phase_breakdown(
-                    ctx, req.method, span,
-                    error=type(error).__name__ if error is not None else None,
-                )
-            if req.method == CallType.EXIT:
-                return
-            if self._quantum_exhausted(ctx):
-                # Preemptive time-slicing (repro.qos): the context burned
-                # its vGPU quantum while others queue — unbind it at this
-                # call boundary (delayed binding makes that safe, §4.4)
-                # and let the policy re-order who goes next.
-                yield from self._preempt(ctx)
-            # The application is back in a CPU phase: a faster idle GPU
-            # may now claim it (dynamic binding, §5.3.4).
-            migration.maybe_migrate(ctx)
-            self._maybe_prefetch(ctx)
-
-    # ------------------------------------------------------------------
-    # control-plane batching + graph replay
-    # ------------------------------------------------------------------
-    def _serve_batch(self, sock: Socket, ctx: Context, batch: BatchRequest) -> Generator:
-        """Execute one batch frame under a single lock hold and a single
-        ``DISPATCHER_OVERHEAD_S`` charge (one scheduler round-trip).
-
-        Per-call results/errors come back in one :class:`BatchResponse`;
-        a mid-batch failure aborts the remaining calls with typed
-        ``BATCH_ABORTED`` errors while earlier results survive.  Returns
-        True when the tail call was a successful EXIT.
-        """
-        env = self.env
-        obs = self.obs
-        stats = self.stats
-        calls = batch.calls
-        stats.batches_submitted += 1
-        stats.batched_calls += len(calls)
-        arrival = env.now
-        if obs.enabled:
-            obs.batch_submit(ctx, len(calls), batch.wire_bytes)
-            spans: List[Optional[CallSpan]] = []
-            for i, req in enumerate(calls):
-                # Each call's span starts at its *enqueue* time.  The
-                # frame's request wire leg is credited once — to the
-                # first call; the rest were queued client-side the whole
-                # way (wire_at=arrival ⇒ pure batch_queue pre-history).
-                span = CallSpan(
-                    env,
-                    trace_id=req.trace_id,
-                    span_id=req.span_id or req.request_id,
-                    begin_at=req.sent_at,
-                    wire_at=batch.sent_at if i == 0 else arrival,
-                )
-                span.push("batch_queue")
-                spans.append(span)
-        else:
-            spans = [None] * len(calls)
-        last_span = spans[-1] if spans else None
-        responses: List[Response] = []
-        last_error: Optional[BaseException] = None
-        exited = False
-        yield ctx.lock.acquire()
-        try:
-            yield env.timeout(DISPATCHER_OVERHEAD_S)
-            instance = self._match_graph(ctx, calls)
-            if instance is not None:
-                responses, last_error = yield from self._serve_batch_as_graph(
-                    ctx, calls, spans, instance
-                )
-            else:
-                responses, last_error, exited = yield from self._serve_batch_calls(
-                    ctx, calls, spans
-                )
-        finally:
-            if last_span is not None:
-                # The reply's wire leg — credited once per batch, to the
-                # tail call's span (satisfies Σphases == wall per span).
-                last_span.push("rpc")
-            ctx.enter_cpu_phase(env.now)
-            ctx.lock.release()
-        resp = BatchResponse(request_id=batch.request_id, responses=responses)
-        yield from sock.send(resp, nbytes=resp.wire_bytes)
-        if last_span is not None:
-            ctx.span = None
-            obs.phase_breakdown(
-                ctx,
-                calls[-1].method,
-                last_span,
-                error=type(last_error).__name__ if last_error is not None else None,
-            )
-        return exited
-
-    def _serve_batch_calls(
-        self, ctx: Context, calls: List[Request], spans: List[Optional[CallSpan]]
-    ) -> Generator:
-        """Per-call execution of a batch frame (no matching graph)."""
-        env = self.env
-        obs = self.obs
-        latency_observe = self._call_latency.observe
-        slo_observe = self.runtime.slo.observe_call
-        responses: List[Response] = []
-        exited = False
-        first_error: Optional[BaseException] = None
-        first_error_at = 0
-        last = len(calls) - 1
-        for i, req in enumerate(calls):
-            span = spans[i]
-            if span is not None:
-                span.pop()  # its batch_queue wait ends; execution begins
-                ctx.span = span
-            begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
-            t0 = env.now
-            value, resp_bytes, error = None, 0, None
-            if first_error is not None:
-                error = RuntimeApiError(
-                    RuntimeErrorCode.BATCH_ABORTED,
-                    f"call #{i + 1} followed failed call "
-                    f"#{first_error_at + 1}: {first_error}",
-                )
-            else:
-                value, resp_bytes, error = yield from self._execute_call(ctx, req)
                 if error is not None:
                     first_error, first_error_at = error, i
-                elif req.method == CallType.EXIT:
+                if req.method == CallType.EXIT:
                     exited = True
             elapsed = env.now - t0
             latency_observe(elapsed)
@@ -395,7 +361,7 @@ class Dispatcher:
                     payload_bytes=resp_bytes,
                 )
             )
-            self.stats.calls_served += 1
+            stats.calls_served += 1
             if span is not None and i < last:
                 # Non-tail calls complete here; the reply wire leg is not
                 # theirs (it is charged once, to the tail call's span).
@@ -405,31 +371,13 @@ class Dispatcher:
                     error=type(error).__name__ if error is not None else None,
                 )
         if first_error is None:
-            self._note_graph_candidate(ctx, calls)
-        return responses, (responses[-1].error if responses else None), exited
-
-    def _execute_call(self, ctx: Context, req: Request) -> Generator:
-        """One batched call through the same recovery/retry loop as the
-        single-call path; returns ``(value, resp_bytes, error)`` instead
-        of raising, so the batch can abort its tail and still respond."""
-        while True:
-            try:
-                if ctx.state is ContextState.FAILED:
-                    yield from self._recover(ctx)
-                value, resp_bytes = yield from self._dispatch_body(ctx, req)
-                ctx.rebind_attempts = 0
-                return value, resp_bytes, None
-            except CudaRuntimeError as exc:
-                if (
-                    exc.code == CudaError.cudaErrorDevicesUnavailable
-                    and ctx.rebind_attempts
-                    < self.config.max_failed_rebind_attempts
-                ):
-                    self._mark_failed(ctx, exc)
-                    continue
-                return None, 0, exc
-            except RuntimeApiError as exc:
-                return None, 0, exc
+            if batched and instance is None:
+                self._note_graph_candidate(ctx, calls)
+        elif instance is not None:
+            # A graph replay is all or nothing: every call reports its error.
+            for resp in responses:
+                resp.error = first_error
+        return responses, exited
 
     # -- graph detection / replay --------------------------------------
     @staticmethod
@@ -460,25 +408,17 @@ class Dispatcher:
         return tuple(sig) if has_launch else None
 
     @staticmethod
-    def _launch_records(calls: List[Request]) -> List[dict]:
-        """Configure/launch pairs → launch parameter records (the
-        incoming args are the graph's "parameter patching")."""
-        records: List[dict] = []
+    def _launch_records(calls: List[Request]) -> List[KernelLaunch]:
+        """Configure/launch pairs → launch records (the incoming args are
+        the graph's "parameter patching")."""
+        records: List[KernelLaunch] = []
         grid, block = (1, 1, 1), (256, 1, 1)
         for req in calls:
             if req.method == CallType.CONFIGURE_CALL:
                 grid = tuple(req.args.get("grid", (1, 1, 1)))
                 block = tuple(req.args.get("block", (256, 1, 1)))
             elif req.method == CallType.LAUNCH:
-                records.append(
-                    {
-                        "kernel": req.args["kernel"],
-                        "vptrs": tuple(req.args.get("args", ())),
-                        "read_only": tuple(req.args.get("read_only", ())),
-                        "grid": grid,
-                        "block": block,
-                    }
-                )
+                records.append(_launch_record(req.args, grid, block))
         return records
 
     def _match_graph(
@@ -505,16 +445,7 @@ class Dispatcher:
             ctx.graph_candidates[sig] = seen
             return
         ctx.graph_candidates.pop(sig, None)
-        template = tuple(
-            KernelLaunch(
-                kernel=r["kernel"],
-                grid=r["grid"],
-                block=r["block"],
-                arg_pointers=r["vptrs"],
-                read_only=r["read_only"] or None,
-            )
-            for r in self._launch_records(calls)
-        )
+        template = tuple(self._launch_records(calls))
         instance = GraphInstance(graph_id=next(_graph_ids), template=template)
         # The instantiating frame just executed, so its working set is
         # resident right now: the next matching frame replays hot.
@@ -528,72 +459,8 @@ class Dispatcher:
                 ctx, instance.graph_id, len(template), explicit=False
             )
 
-    def _serve_batch_as_graph(
-        self,
-        ctx: Context,
-        calls: List[Request],
-        spans: List[Optional[CallSpan]],
-        instance: GraphInstance,
-    ) -> Generator:
-        """Replay path: the frame matches an instantiated graph, so it is
-        re-issued as one unit instead of being dispatched call by call.
-        All execution accrues to the tail call's span; a replay error is
-        all-or-nothing (every call of the frame reports it)."""
-        env = self.env
-        obs = self.obs
-        launches = self._launch_records(calls)
-        last = len(calls) - 1
-        for i, req in enumerate(calls[:last]):
-            span = spans[i]
-            if obs.enabled:
-                begin = obs.call_begin(ctx, req.method)
-                obs.call_end(ctx, req.method, begin)
-            if span is not None:
-                span.pop()
-                obs.phase_breakdown(ctx, req.method, span)
-            self.stats.calls_served += 1
-        last_req = calls[last]
-        last_span = spans[last]
-        if last_span is not None:
-            last_span.pop()
-            ctx.span = last_span
-        begin_at = obs.call_begin(ctx, last_req.method) if obs.enabled else None
-        t0 = env.now
-        error: Optional[BaseException] = None
-        while True:
-            try:
-                if ctx.state is ContextState.FAILED:
-                    yield from self._recover(ctx)
-                yield from self._execute_graph(ctx, instance, launches)
-                ctx.rebind_attempts = 0
-                break
-            except CudaRuntimeError as exc:
-                if (
-                    exc.code == CudaError.cudaErrorDevicesUnavailable
-                    and ctx.rebind_attempts
-                    < self.config.max_failed_rebind_attempts
-                ):
-                    self._mark_failed(ctx, exc)
-                    continue
-                error = exc
-                break
-            except RuntimeApiError as exc:
-                error = exc
-                break
-        elapsed = env.now - t0
-        self._call_latency.observe(elapsed)
-        self.runtime.slo.observe_call(ctx, elapsed)
-        if begin_at is not None:
-            obs.call_end(
-                ctx, last_req.method, begin_at,
-                error=type(error).__name__ if error is not None else None,
-            )
-        self.stats.calls_served += 1
-        responses = [Response(request_id=req.request_id, error=error) for req in calls]
-        return responses, error
-
     def _graph_valid(
-        self, ctx: Context, instance: GraphInstance, launches: List[dict]
+        self, ctx: Context, instance: GraphInstance, launches: Sequence[KernelLaunch]
     ) -> bool:
         """Are the instance's baked translations still good?  Epoch
         equality is the O(1) fast path; after any table change, a direct
@@ -603,8 +470,8 @@ class Dispatcher:
             return False
         if instance.epoch == page_table.epoch:
             return True
-        for entry in launches:
-            for vptr in entry["vptrs"]:
+        for launch in launches:
+            for vptr in launch.arg_pointers:
                 try:
                     pte = page_table.lookup(ctx, vptr)
                 except RuntimeApiError:
@@ -614,7 +481,7 @@ class Dispatcher:
         return True
 
     def _execute_graph(
-        self, ctx: Context, instance: GraphInstance, launches: List[dict]
+        self, ctx: Context, instance: GraphInstance, launches: Sequence[KernelLaunch]
     ) -> Generator:
         """Re-issue an instantiated graph: one control-plane charge when
         the cached translations are still good, the full per-launch path
@@ -622,7 +489,6 @@ class Dispatcher:
         between replays.  Validity only affects *charging* — execution
         always goes through ``prepare_and_launch``, which re-faults
         anything missing, so a misjudged fast path cannot corrupt."""
-        env = self.env
         if not ctx.bound:
             yield from self.scheduler.request_binding(ctx)
         cold = instance.epoch is None
@@ -635,26 +501,10 @@ class Dispatcher:
         try:
             cp = self.config.launch_control_plane_s
             if valid and cp > 0.0:
-                yield env.timeout(cp)
-            backoff = self.config.swap_retry_backoff_s
-            index = 0
-            while index < len(launches):
-                if not ctx.bound:
-                    yield from self.scheduler.request_binding(ctx)
-                entry = launches[index]
-                try:
-                    yield from self.memory.prepare_and_launch(
-                        ctx,
-                        entry["kernel"],
-                        entry["vptrs"],
-                        entry["read_only"],
-                        grid=entry["grid"],
-                        block=entry["block"],
-                        control_plane=not valid,
-                    )
-                    index += 1
-                except NeedRetry:
-                    backoff = yield from self._retry_later(ctx, backoff, "graph retry")
+                yield self.env.timeout(cp)
+            yield from self._launch(
+                ctx, list(launches), "graph retry", control_plane=not valid
+            )
         finally:
             if span is not None:
                 span.pop()
@@ -770,14 +620,8 @@ class Dispatcher:
     # call dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, ctx: Context, req: Request) -> Generator:
-        """Returns (value, response_payload_bytes)."""
-        yield self.env.timeout(DISPATCHER_OVERHEAD_S)
-        return (yield from self._dispatch_body(ctx, req))
-
-    def _dispatch_body(self, ctx: Context, req: Request) -> Generator:
-        """Serve one call, *after* the per-round-trip dispatcher overhead
-        (charged once per call on the plain path, once per frame on the
-        batched path)."""
+        """Serve one call; returns ``(value, response_payload_bytes)``.
+        The frame's dispatcher overhead is already paid."""
         method = req.method
         args = req.args
 
@@ -843,7 +687,28 @@ class Dispatcher:
             ctx.pending_config = (args.get("grid", (1, 1, 1)), args.get("block", (256, 1, 1)))
             return None, 0
         if method == CallType.LAUNCH:
-            yield from self._launch(ctx, req)
+            if ctx.pending_config is None:
+                raise CudaRuntimeError(
+                    CudaError.cudaErrorMissingConfiguration,
+                    "cudaLaunch without cudaConfigureCall",
+                )
+            # Keep the configuration until the launch succeeds: the call
+            # may be retried wholesale after a device failure.
+            grid, block = ctx.pending_config
+            # _launch_record inlined: this is the hottest call path.
+            launch = KernelLaunch(
+                kernel=args["kernel"],
+                grid=grid,
+                block=block,
+                arg_pointers=tuple(args.get("args", ())),
+                read_only=tuple(args.get("read_only", ())) or None,
+            )
+            duration = yield from self._launch(ctx, [launch], "swap retry")
+            ctx.pending_config = None
+            threshold = self.config.checkpoint_kernel_seconds
+            if threshold is not None and duration >= threshold:
+                # Automatic checkpoint after long-running kernels (§4.6).
+                yield from self.memory.checkpoint(ctx)
             return None, 0
         if method == CallType.THREAD_SYNCHRONIZE:
             return None, 0
@@ -898,17 +763,7 @@ class Dispatcher:
                     RuntimeErrorCode.GRAPH_INVALID,
                     f"unknown graph handle {args.get('graph')!r}",
                 )
-            launches = [
-                {
-                    "kernel": l.kernel,
-                    "vptrs": l.arg_pointers,
-                    "read_only": l.read_only or (),
-                    "grid": l.grid,
-                    "block": l.block,
-                }
-                for l in instance.template
-            ]
-            yield from self._execute_graph(ctx, instance, launches)
+            yield from self._execute_graph(ctx, instance, instance.template)
             return None, 0
 
         if method == CallType.EXIT:
@@ -925,15 +780,7 @@ class Dispatcher:
             )
             return
         grid, block = ctx.capture_config or ((1, 1, 1), (256, 1, 1))
-        ctx.capture.append(
-            KernelLaunch(
-                kernel=args["kernel"],
-                grid=tuple(grid),
-                block=tuple(block),
-                arg_pointers=tuple(args.get("args", ())),
-                read_only=tuple(args.get("read_only", ())) or None,
-            )
-        )
+        ctx.capture.append(_launch_record(args, tuple(grid), tuple(block)))
         ctx.capture_config = None
 
     def _registration(self, ctx: Context, req: Request) -> Generator:
@@ -976,36 +823,41 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # launch path: delayed binding + swap retries (§4.3, §4.5)
     # ------------------------------------------------------------------
-    def _launch(self, ctx: Context, req: Request) -> Generator:
-        if ctx.pending_config is None:
-            raise CudaRuntimeError(
-                CudaError.cudaErrorMissingConfiguration,
-                "cudaLaunch without cudaConfigureCall",
-            )
-        # Keep the configuration until the launch succeeds: the call may
-        # be retried wholesale after a device failure.
-        grid, block = ctx.pending_config
-        kernel = req.args["kernel"]
-        vptrs = tuple(req.args.get("args", ()))
-        read_only = tuple(req.args.get("read_only", ()))
+    def _launch(
+        self,
+        ctx: Context,
+        pending: List[KernelLaunch],
+        reason: str,
+        front: bool = False,
+        control_plane: bool = True,
+    ) -> Generator:
+        """Run ``pending`` in order on the context's vGPU, binding it
+        first if needed (``front``: ahead of the waiting list) and
+        unbinding to retry later when device memory runs out.
 
+        Launched records leave ``pending``, so after an error it holds
+        exactly the unlaunched suffix.  Returns the last kernel's
+        execution seconds.
+        """
         backoff = self.config.swap_retry_backoff_s
-        while True:
-            if not ctx.bound:
-                yield from self.scheduler.request_binding(ctx)
-            try:
-                duration = yield from self.memory.prepare_and_launch(
-                    ctx, kernel, vptrs, read_only, grid=grid, block=block
-                )
-                break
-            except NeedRetry:
-                backoff = yield from self._retry_later(ctx, backoff, "swap retry")
-
-        ctx.pending_config = None
-        threshold = self.config.checkpoint_kernel_seconds
-        if threshold is not None and duration >= threshold:
-            # Automatic checkpoint after long-running kernels (§4.6).
-            yield from self.memory.checkpoint(ctx)
+        duration = 0.0
+        done = 0
+        try:
+            for launch in pending:
+                while True:
+                    if not ctx.bound:
+                        yield from self.scheduler.request_binding(ctx, front=front)
+                    try:
+                        duration = yield from self.memory.prepare_and_launch(
+                            ctx, launch, control_plane
+                        )
+                        break
+                    except NeedRetry:
+                        backoff = yield from self._retry_later(ctx, backoff, reason)
+                done += 1
+        finally:
+            del pending[:done]
+        return duration
 
     def _retry_later(self, ctx: Context, backoff: float, reason: str) -> Generator:
         """No device memory, no victim: unbind, retry later (§4.5).
@@ -1053,36 +905,24 @@ class Dispatcher:
         """Replay a context's journaled kernels; returns how many.
 
         The single replay implementation (§4.6): device-failure recovery
-        and full-node restart both run this loop.  Each journaled kernel
-        is re-executed through the ordinary launch path (re-journaling
+        and full-node restart both run it.  Each journaled kernel is
+        re-executed through the ordinary launch loop (re-journaling
         included), so replay survives memory pressure on the new device —
         a mid-replay swap-out captures the replayed prefix in the swap
-        area while the suffix stays pending here.
+        area while the suffix stays pending here.  If replay itself
+        fails, the unreplayed suffix goes back on the journal for the
+        next recovery.
         """
-        pending = list(ctx.replay_journal)
-        ctx.replay_journal.clear()
-        backoff = self.config.swap_retry_backoff_s
-        index = 0
-        while index < len(pending):
-            if not ctx.bound:
-                yield from self.scheduler.request_binding(ctx, front=True)
-            launch = pending[index]
-            try:
-                yield from self.memory.prepare_and_launch(
-                    ctx,
-                    launch.kernel,
-                    launch.arg_pointers,
-                    launch.read_only or (),
-                    grid=launch.grid,
-                    block=launch.block,
-                )
-                self.stats.replayed_kernels += 1
-                index += 1
-            except NeedRetry:
-                backoff = yield from self._retry_later(ctx, backoff, "replay retry")
+        pending, ctx.replay_journal = ctx.replay_journal, []
+        total = len(pending)
+        try:
+            yield from self._launch(ctx, pending, "replay retry", front=True)
+        finally:
+            self.stats.replayed_kernels += total - len(pending)
+            ctx.replay_journal.extend(pending)
         if not ctx.bound:
             yield from self.scheduler.request_binding(ctx, front=True)
-        return len(pending)
+        return total
 
     def _recover(self, ctx: Context) -> Generator:
         """Rebind a failed context to a healthy device and replay."""

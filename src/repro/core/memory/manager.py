@@ -28,7 +28,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 from repro.sim import Condition, Environment, Event
 from repro.simcuda.device import GPUDevice
 from repro.simcuda.errors import CudaError, CudaRuntimeError
-from repro.simcuda.kernels import KernelDescriptor, KernelLaunch
+from repro.simcuda.kernels import KernelLaunch
 
 from repro.core.config import RuntimeConfig
 from repro.core.context import Context, ContextState
@@ -126,11 +126,6 @@ class MemoryManager:
         #: decide whether a too-large working set could fit *some* GPU
         #: (rebind) or none at all (application error).
         self.devices_fn: Callable[[], List[GPUDevice]] = lambda: []
-        #: Wired by the runtime: the dispatcher's journal-replay loop —
-        #: the single replay implementation (§4.6), shared so a full-node
-        #: restart replays with exactly the recovery path's semantics
-        #: (re-journaling, unbind + backoff on memory pressure).
-        self.replay_fn: Optional[Callable[[Context], Generator]] = None
         #: Overlap engine: per-context barrier events for in-flight
         #: asynchronous write-backs (checkpoints running behind the call
         #: path).  Every consumer of the dirty flags drains these first.
@@ -354,17 +349,12 @@ class MemoryManager:
     # Table 1: Launch (+ internal Swap)
     # ------------------------------------------------------------------
     def prepare_and_launch(
-        self,
-        ctx: Context,
-        kernel: KernelDescriptor,
-        arg_vptrs: Sequence[int],
-        read_only_vptrs: Sequence[int] = (),
-        grid: Tuple[int, int, int] = (1, 1, 1),
-        block: Tuple[int, int, int] = (256, 1, 1),
-        replaying: bool = False,
-        control_plane: bool = True,
+        self, ctx: Context, launch: KernelLaunch, control_plane: bool = True
     ) -> Generator:
         """Execute one kernel on the context's bound vGPU.
+
+        ``launch`` holds *virtual* pointers; once the kernel has run, the
+        record itself is appended to ``ctx.replay_journal`` (§4.6).
 
         ``control_plane=False`` marks a launch issued as part of an
         instantiated graph replay: the driver's per-launch control-plane
@@ -383,6 +373,8 @@ class MemoryManager:
             kernel's working set cannot fit the device at all.
         """
         assert ctx.bound, "launch requires a bound context"
+        kernel = launch.kernel
+        arg_vptrs = launch.arg_pointers
         device = ctx.vgpu.device
         if self.config.overlap_transfers:
             # Barrier: pending asynchronous write-backs must land before
@@ -448,15 +440,15 @@ class MemoryManager:
                 # of the pipelined launch path).
                 yield from ctx.vgpu.synchronize()
 
-        read_only = set(read_only_vptrs)
+        read_only = launch.read_only or ()
         device_ptrs = tuple(p.device_ptr for p in ptes)
         dev_read_only = tuple(
             p.device_ptr for p in ptes if p.virtual_ptr in read_only
         )
         translated = KernelLaunch(
             kernel=kernel,
-            grid=grid,
-            block=block,
+            grid=launch.grid,
+            block=launch.block,
             arg_pointers=device_ptrs,
             read_only=dev_read_only if dev_read_only else None,
             control_plane=control_plane,
@@ -474,17 +466,8 @@ class MemoryManager:
                 pte.kernel_read(now)
             else:
                 pte.kernel_write(now)
-        if not replaying:
-            ctx.replay_journal.append(
-                KernelLaunch(
-                    kernel=kernel,
-                    grid=grid,
-                    block=block,
-                    arg_pointers=tuple(arg_vptrs),
-                    read_only=tuple(read_only) if read_only else None,
-                )
-            )
-        ctx.last_launch_vptrs = tuple(arg_vptrs)
+        ctx.replay_journal.append(launch)
+        ctx.last_launch_vptrs = arg_vptrs
         self.stats.kernels_launched += 1
         ctx.kernels_launched += 1
         ctx.gpu_seconds_used += duration
@@ -1175,22 +1158,6 @@ class MemoryManager:
             pte.prefetched = False
             if pte.is_allocated:
                 pte.drop_device_state()
-
-    def replay(self, ctx: Context) -> Generator:
-        """Re-execute journaled kernels after a failure rebind (§4.6:
-        only memory operations required by not-yet-executed kernels are
-        replayed — the journal holds exactly the launches whose effects
-        were not yet captured in the swap area).
-
-        Delegates to the dispatcher's journal-replay loop (wired through
-        :attr:`replay_fn`) so full-node restart and single-device recovery
-        share one replay implementation — same re-journaling, same
-        unbind-and-back-off behavior under memory pressure — instead of
-        two slowly diverging copies.
-        """
-        assert self.replay_fn is not None, "replay_fn not wired by the runtime"
-        replayed = yield from self.replay_fn(ctx)
-        return replayed
 
     # ------------------------------------------------------------------
     # overlap engine: CPU-phase prefetch

@@ -127,9 +127,6 @@ class NodeRuntime:
         ]
         # Memory-informed placement (§4.5 MemUsage/CapacityList).
         self.scheduler.mem_needed_fn = self.memory.page_table.total_bytes
-        # Single replay implementation (§4.6): full-node restart replays
-        # through the dispatcher's recovery loop.
-        self.memory.replay_fn = self.dispatcher.replay_journal
         # Engine-occupancy tracing: the driver reports every copy/exec
         # span; forwarded onto the event bus when tracing is enabled.
         self.driver.span_hook = self._on_engine_span

@@ -69,9 +69,9 @@ class CallSpan:
         If it predates span creation, the gap is credited to ``rpc``
         (the request's wire leg).  Defaults to ``env.now``.
     wire_at:
-        For batched calls only: when the call actually hit the wire.
-        The pre-history then splits at this point — ``begin_at`` to
-        ``wire_at`` was spent journaled in the frontend's batch
+        When the call actually hit the wire (``None``: when it was
+        sent).  The pre-history then splits at this point — ``begin_at``
+        to ``wire_at`` was spent journaled in the frontend's batch
         (``batch_queue``), ``wire_at`` to now on the wire (``rpc``).
         The frame's request wire leg is the *first* call's; later calls
         pass ``wire_at == arrival`` so their whole wait is queue time.
@@ -97,12 +97,11 @@ class CallSpan:
         if self.begin_at < self._since:
             # Time before the server saw the request: all wire on the
             # plain path; journaled-then-wire when the call was batched.
-            if wire_at is None:
+            if wire_at is None or wire_at <= self.begin_at:
                 self.phases["rpc"] = self._since - self.begin_at
             else:
-                split = min(max(float(wire_at), self.begin_at), self._since)
-                if split > self.begin_at:
-                    self.phases["batch_queue"] = split - self.begin_at
+                split = min(float(wire_at), self._since)
+                self.phases["batch_queue"] = split - self.begin_at
                 if self._since > split:
                     self.phases["rpc"] = self._since - split
 

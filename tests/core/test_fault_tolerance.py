@@ -105,6 +105,73 @@ def test_failure_without_spare_device_errors_out():
     assert "error" in failed
 
 
+def burst_app(h, results, batch_max_calls=1):
+    """Four back-to-back 0.5 s kernels on one buffer, then d2h and exit."""
+
+    def app():
+        fe = h.frontend("burst", batch_max_calls=batch_max_calls)
+        yield from fe.open()
+        k = kernel(0.5, "burst-k")
+        a = yield from fe.cuda_malloc(64 * MIB)
+        yield from fe.cuda_memcpy_h2d(a, 64 * MIB)
+        for _ in range(4):
+            yield from fe.launch_kernel(k, [a])
+        yield from fe.cuda_memcpy_d2h(a, 64 * MIB)
+        yield from fe.cuda_thread_exit()
+        results["done"] = h.env.now
+
+    return app()
+
+
+def test_failure_during_replay_keeps_the_unreplayed_journal():
+    """Device 0 dies with four journaled kernels; device 1, where they are
+    being replayed, dies during the first one.  The next recovery must
+    still replay all four — the interrupted replay puts its suffix back
+    on the journal instead of dropping it."""
+    h = Harness(specs=[TESLA_C2050] * 3)
+    results = {}
+    h.spawn(burst_app(h, results))
+    FailureInjector(h.runtime, [
+        HotplugEvent(at_seconds=3.0, action="fail", device_index=0),
+        HotplugEvent(at_seconds=3.3, action="fail", device_index=1),
+    ]).start()
+    h.run()
+    ctx = h.runtime.dispatcher.contexts[0]
+    assert h.stats.replayed_kernels == 4
+    assert ctx.kernels_launched == 8  # 4 originals + 4 replayed
+    # Four 0.5 s replays after the second failure at 3.3 s.
+    assert results["done"] > 3.3 + 4 * 0.5
+
+
+@pytest.mark.parametrize("batch_max_calls", [1, 4])
+def test_dispatcher_overhead_charged_once_per_frame_across_rebind(batch_max_calls):
+    """``DISPATCHER_OVERHEAD_S`` is one scheduler round trip per frame —
+    a plain call is a frame of one — and a call retried after a
+    device-failure rebind does not pay it again."""
+    from repro.core.dispatcher import DISPATCHER_OVERHEAD_S
+
+    h = Harness(specs=[TESLA_C2050] * 2)
+    charges = []
+    timeout = h.env.timeout
+
+    def counting_timeout(delay, value=None):
+        if delay == DISPATCHER_OVERHEAD_S:
+            charges.append(h.env.now)
+        return timeout(delay, value)
+
+    h.env.timeout = counting_timeout
+    results = {}
+    h.spawn(burst_app(h, results, batch_max_calls=batch_max_calls))
+    FailureInjector(h.runtime, [HotplugEvent(at_seconds=2.0, action="fail",
+                                             device_index=0)]).start()
+    h.run()
+    stats = h.stats
+    assert "done" in results
+    assert stats.failures_recovered == 1 and stats.replayed_kernels >= 1
+    frames = stats.batches_submitted + stats.calls_served - stats.batched_calls
+    assert len(charges) == frames
+
+
 def test_checkpoint_bounds_replay():
     """With automatic checkpoints after every kernel, the journal stays
     empty, so recovery replays nothing."""

@@ -334,3 +334,87 @@ def test_tracing_off_leaves_no_spans():
     h.spawn(h.simple_app("app0", kernel_seconds=0.2))
     h.run()
     assert h.runtime.obs.events == []
+
+
+def test_batched_lock_wait_is_queue_wait():
+    """A batch frame that arrives while another process holds the
+    context lock books that wait as ``queue_wait`` on its calls;
+    ``batch_queue`` stays client-side journaling time."""
+    h = traced(batch_max_calls=8)
+    held = {}
+
+    def holder(ctx):
+        yield ctx.lock.acquire()
+        held["from"] = h.env.now
+        yield h.env.timeout(0.5)
+        held["until"] = h.env.now
+        ctx.lock.release()
+
+    def app():
+        fe = h.frontend("waiter", batch_max_calls=8)
+        yield from fe.open()
+        from repro.simcuda import FatBinary, KernelDescriptor, TESLA_C2050
+
+        kernel = KernelDescriptor(
+            name="w-k", flops=0.05 * TESLA_C2050.effective_gflops * 1e9
+        )
+        handle = yield from fe.register_fat_binary(FatBinary())
+        yield from fe.register_function(handle, kernel)
+        ptr = yield from fe.cuda_malloc(16 * MIB)
+        # The context is idle in a CPU phase: someone else takes its lock.
+        h.spawn(holder(h.runtime.dispatcher.contexts[0]))
+        yield h.env.timeout(0.2)
+        held["sent"] = h.env.now
+        for _ in range(3):
+            yield from fe.launch_kernel(kernel, [ptr])
+        yield from fe.cuda_memcpy_d2h(ptr, 16 * MIB)  # barrier: ships the frame
+        yield from fe.cuda_thread_exit()
+
+    h.spawn(app())
+    h.run()
+    obs = h.runtime.obs
+    _assert_breakdowns_consistent(obs)
+    wait = held["until"] - held["sent"]
+    assert wait > 0.2
+    frame = [
+        pb for pb in obs.events_of(PhaseBreakdown)
+        if pb.begin_at >= held["sent"] and pb.method != "cudaThreadExit"
+    ]
+    assert len(frame) == 7  # 3 x (configure + launch) + the d2h tail
+    for pb in frame:
+        phases = dict(pb.phases)
+        # the lock wait, less the frame's microsecond wire leg
+        assert phases.get("queue_wait", 0.0) > wait - 1e-3, pb
+        assert phases.get("batch_queue", 0.0) < 1e-3, pb
+
+
+def test_every_served_call_records_one_latency_sample_under_graph_replay():
+    """Calls absorbed into a graph replay are served calls too: each one
+    records a ``call_latency_seconds`` sample."""
+    h = Harness(config=RuntimeConfig(
+        graph_replay_enabled=True, launch_control_plane_s=40e-6, batch_max_calls=8
+    ))
+
+    def app():
+        fe = h.frontend("looper", batch_max_calls=8)
+        yield from fe.open()
+        from repro.simcuda import FatBinary, KernelDescriptor, TESLA_C2050
+
+        kernel = KernelDescriptor(
+            name="l-k", flops=0.01 * TESLA_C2050.effective_gflops * 1e9
+        )
+        handle = yield from fe.register_fat_binary(FatBinary())
+        yield from fe.register_function(handle, kernel)
+        ptr = yield from fe.cuda_malloc(8 * MIB)
+        yield from fe.cuda_memcpy_h2d(ptr, 8 * MIB)
+        yield from fe.flush()
+        for _ in range(6 * 4):  # 6 identical frames of 4 cfg/launch pairs
+            yield from fe.launch_kernel(kernel, [ptr])
+        yield from fe.cuda_memcpy_d2h(ptr, 8 * MIB)
+        yield from fe.cuda_thread_exit()
+
+    h.spawn(app())
+    h.run()
+    assert h.stats.graph_replays > 0
+    latency = h.runtime.metrics.get("call_latency_seconds")
+    assert latency.count == h.stats.calls_served
