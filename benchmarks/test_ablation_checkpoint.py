@@ -13,18 +13,19 @@ from repro.simcuda import TESLA_C1060, TESLA_C2050
 from repro.workloads import make_job, workload
 
 
-def run(checkpoint_threshold, fail_at=40.0, n_jobs=4):
+def run(checkpoint_threshold, fail_at=40.0, n_jobs=4, overlap=False):
     env = Environment()
     from repro.cluster.node import ComputeNode
 
+    config = RuntimeConfig(
+        vgpus_per_device=2,
+        checkpoint_kernel_seconds=checkpoint_threshold,
+    )
     node = ComputeNode(
         env,
         "bench",
         [TESLA_C2050, TESLA_C1060],
-        runtime_config=RuntimeConfig(
-            vgpus_per_device=2,
-            checkpoint_kernel_seconds=checkpoint_threshold,
-        ),
+        runtime_config=config.overlapped() if overlap else config,
     )
     runtime = node.runtime
     env.process(node.start())
@@ -51,6 +52,8 @@ def run(checkpoint_threshold, fail_at=40.0, n_jobs=4):
         "replayed": runtime.stats.replayed_kernels,
         "checkpoints": runtime.stats.checkpoints,
         "recovered": runtime.stats.failures_recovered,
+        "finish": finish,
+        "stats": runtime.stats.as_dict(),
     }
 
 

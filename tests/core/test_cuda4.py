@@ -140,7 +140,10 @@ def test_sibling_constraint_does_not_block_other_waiters():
     assert len(finished) == 3
 
 
-def test_p2p_migration_moves_data_directly():
+def run_p2p_migration():
+    """A long job starts on the slow Quadro while a blocker holds the
+    C2050, then migrates peer-to-peer once the blocker exits; returns
+    ``(h, results)``."""
     h = Harness(
         specs=[QUADRO_2000, TESLA_C2050],
         config=RuntimeConfig(
@@ -183,6 +186,11 @@ def test_p2p_migration_moves_data_directly():
 
     h.spawn(delayed())
     h.run()
+    return h, results
+
+
+def test_p2p_migration_moves_data_directly():
+    h, results = run_p2p_migration()
     assert "long" in results
     assert h.stats.migrations >= 1
     assert h.stats.migrations_p2p >= 1

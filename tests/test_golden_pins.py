@@ -19,6 +19,8 @@ import sys
 
 import pytest
 
+from benchmarks import test_ablation_checkpoint as checkpoint_bench
+from benchmarks import test_ablation_deferral as deferral_bench
 from benchmarks import test_control_plane as batching_bench
 from benchmarks import test_locality_binding as locality_bench
 from benchmarks import test_overlap_engine as overlap_bench
@@ -32,6 +34,9 @@ from repro.experiments.harness import run_node_batch
 from repro.simcuda import TESLA_C2050
 from repro.workloads.generator import make_job
 from repro.workloads.trace_replay import replay_trace, synthetic_trace
+from tests.core.test_cuda4 import run_p2p_migration
+from tests.core.test_overlap_pipeline import run_checkpoint_abort
+from tests.qos.test_preemption_torture import run_torture
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_pins.json")
 
@@ -108,6 +113,56 @@ def _batching():
     return out
 
 
+def _transfers():
+    """The memory manager's transfer paths the scenarios above miss:
+    per-entry eviction and retention unbind under the overlap engine,
+    peer-to-peer migration, eager (undeferred) copies, and automatic
+    and explicit checkpoints cut short by a device failure."""
+
+    def overlapped_swap(mode, chunk_mib=0):
+        config = RuntimeConfig(
+            vgpus_per_device=swap_bench.N_TENANTS,
+            eviction_mode=mode,
+            swap_chunk_bytes=chunk_mib * swap_bench.MIB,
+        ).overlapped()
+        jobs = [swap_bench.make_tenant(f"swp{i}") for i in range(swap_bench.N_TENANTS)]
+        return _batch(run_node_batch(jobs, [swap_bench.BENCH_GPU], config))
+
+    def overlapped_locality(locality):
+        jobs = [locality_bench.make_job(i) for i in range(locality_bench.JOBS)]
+        return _batch(run_node_batch(
+            jobs,
+            [locality_bench.BENCH_GPU] * locality_bench.DEVICES,
+            locality_bench._config(locality).overlapped(),
+        ))
+
+    def node(h, **extra):
+        return {"now": h.env.now, "stats": h.stats.as_dict(), **extra}
+
+    env, runtime, _driver, results = run_torture()
+    p2p, p2p_results = run_p2p_migration()
+    abort, abort_observed = run_checkpoint_abort()
+    return {
+        "swap_context": overlapped_swap("context"),
+        "swap_partial": overlapped_swap("partial"),
+        "swap_chunked+partial": overlapped_swap(
+            "partial", chunk_mib=swap_bench.CHUNK_MIB
+        ),
+        "locality_fcfs": overlapped_locality(False),
+        "locality": overlapped_locality(True),
+        "preemption_torture": {
+            "now": env.now,
+            "stats": runtime.stats.as_dict(),
+            "results": results,
+        },
+        "checkpoint_failure": checkpoint_bench.run(0.1),
+        "checkpoint_failure_overlap": checkpoint_bench.run(0.1, overlap=True),
+        "p2p_migration": node(p2p, results=p2p_results),
+        "eager_copies": _batch(deferral_bench.run(False)),
+        "checkpoint_abort": node(abort, observed=abort_observed),
+    }
+
+
 def _smoke_slice(policy):
     trace = synthetic_trace(
         trace_bench.SMOKE_JOBS,
@@ -147,6 +202,7 @@ SCENARIOS = {
     "batching": _batching,
     "trace_smoke": _trace_smoke,
     "policies": _policies,
+    "transfers": _transfers,
 }
 
 
