@@ -552,11 +552,6 @@ class Dispatcher:
                 return
             vgpu = ctx.vgpu
             used = ctx.quantum_used_s
-            # In-flight overlap-engine write-backs target this context's
-            # device memory; they must land before swap-out releases it
-            # (swap_out_context drains too, but an explicit barrier here
-            # keeps the invariant even if that path changes).
-            yield from self.memory._drain_writebacks(ctx)
             if self.config.locality_binding:
                 # Retention unbind: write dirty chunks back but leave the
                 # device copy cached, so a rebind to the same vGPU skips

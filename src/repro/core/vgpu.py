@@ -136,11 +136,6 @@ class VirtualGPU:
         """Enqueue a D2H on the copy stream; returns its completion event."""
         return self.copy_stream.memcpy_d2h_async(address, nbytes)
 
-    def synchronize(self) -> Generator:
-        """Drain the copy stream (re-raising any asynchronous error)."""
-        if self.copy_stream is not None:
-            yield from self.copy_stream.synchronize()
-
     def launch(self, launch: KernelLaunch) -> Generator:
         yield from self.driver.launch(self.cuda_context, launch)
 
