@@ -33,12 +33,11 @@ class RuntimeConfig:
         traffic).
     overlap_transfers:
         The paper's "overlap computation and communication" configuration
-        (§4.5): route the memory manager's device traffic through the
-        vGPU's in-order copy stream.  Bulk H2D transfers at launch are
-        enqueued asynchronously and awaited only right before the kernel
-        needs them; swap/checkpoint write-backs run asynchronously behind
-        an explicit drain barrier, so a D2H can overlap another tenant's
-        kernel on the device's exec engine.  Off by default — the deferred
+        (§4.5): pipeline the launch-time bulk fault-in and whole-context
+        swap-out through the vGPU's in-order copy stream (the caller still
+        waits for them), and run checkpoint write-backs behind the caller
+        and a per-context barrier.  Per-entry eviction, retention unbind
+        and D2H reads stay synchronous.  Off by default — the deferred
         (fully synchronous) path is the paper's headline configuration.
     prefetch_enabled:
         Overlap-engine extension: during an application's CPU phase the
@@ -69,6 +68,9 @@ class RuntimeConfig:
         any number of victims (which stay bound), ordered by
         ``eviction_policy``.  Whole-context swap-out remains the
         correctness path for unbind/migration/checkpoint either way.
+        Both stay: on the pinned swap bench, whole-context eviction
+        (10.42 s) beats unchunked partial (11.10 s); chunked partial
+        wins (7.89 s).
     eviction_policy:
         Victim ordering for partial eviction, registered in
         :mod:`repro.core.memory.eviction`: "lru", "lfu", "second_chance",
