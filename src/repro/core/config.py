@@ -57,8 +57,8 @@ class RuntimeConfig:
         partially written buffer stages, faults in and writes back only
         the chunks that actually hold (or dirtied) data — and the overlap
         engine pipelines per-chunk transfers instead of whole entries.
-        ``0`` (default) keeps the paper's whole-entry granularity,
-        bit-for-bit identical in stats.
+        ``0`` (default): every allocation is one chunk, valid from
+        creation — the paper's whole-entry granularity.
     eviction_mode:
         How inter-application memory pressure is resolved.  ``"context"``
         (default) is the paper's whole-context swap: one victim's entire

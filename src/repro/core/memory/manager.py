@@ -55,6 +55,12 @@ class NeedRetry(Exception):
         super().__init__(f"need {required_bytes} bytes; no victim available")
 
 
+def _fits(device: GPUDevice, nbytes: int, contiguous: int) -> bool:
+    """``device`` has ``nbytes`` free, including one ``contiguous`` block."""
+    allocator = device.allocator
+    return allocator.free_bytes >= nbytes and allocator.largest_free_block >= contiguous
+
+
 class _span_phase:
     """Attribute simulated time spent inside the block to phase ``name``
     of the context's live call span.  No-op between calls and with
@@ -317,7 +323,7 @@ class MemoryManager:
         except RuntimeApiError:
             self.stats.bad_calls_detected += 1
             raise
-        if nbytes > pte.size:
+        if nbytes < 0 or nbytes > pte.size:
             # Bad memory operation caught in the runtime, never reaching
             # the CUDA stack (§4.5).
             self.stats.bad_calls_detected += 1
@@ -345,15 +351,10 @@ class MemoryManager:
                 # Eager mode: push the data now.  (A residency cache held
                 # by a *different* vGPU owns the device pointer — that case
                 # stays staged and resolves at the next launch's reconcile.)
-                if not pte.chunked:
-                    yield from ctx.vgpu.memcpy_h2d(pte.device_ptr, nbytes)
-                    pte.on_copied_to_device()
+                for run in pte.fault_runs():
+                    yield from ctx.vgpu.memcpy_h2d(pte.device_ptr + run[0], run[1])
+                    pte.complete_fault(run)
                     self.stats.h2d_device_transfers += 1
-                else:
-                    for run in pte.fault_runs():
-                        yield from ctx.vgpu.memcpy_h2d(pte.device_ptr + run[0], run[1])
-                        pte.complete_fault(run)
-                        self.stats.h2d_device_transfers += 1
 
     # ------------------------------------------------------------------
     # Table 1: Copy_DH
@@ -366,7 +367,7 @@ class MemoryManager:
         except RuntimeApiError:
             self.stats.bad_calls_detected += 1
             raise
-        if nbytes > pte.size:
+        if nbytes < 0 or nbytes > pte.size:
             self.stats.bad_calls_detected += 1
             raise RuntimeApiError(
                 RuntimeErrorCode.SWAP_SIZE_MISMATCH,
@@ -670,10 +671,7 @@ class MemoryManager:
             device = ctx.vgpu.device
             yield from self._reclaim_cached(ctx, device, required_bytes,
                                             min_contiguous)
-            if (
-                device.allocator.free_bytes >= required_bytes
-                and device.allocator.largest_free_block >= min_contiguous
-            ):
+            if _fits(device, required_bytes, min_contiguous):
                 return
         if not self.config.enable_inter_swap:
             self.stats.swap_retries += 1
@@ -753,15 +751,8 @@ class MemoryManager:
         clearing everything).
         """
         device = ctx.vgpu.device
-
-        def satisfied() -> bool:
-            # Memory already free counts toward the requester's need.
-            return (
-                device.allocator.free_bytes >= required_bytes
-                and device.allocator.largest_free_block >= min_contiguous
-            )
-
-        if satisfied():
+        # Memory already free counts toward the requester's need.
+        if _fits(device, required_bytes, min_contiguous):
             return
         candidates = [
             (other, pte)
@@ -774,7 +765,7 @@ class MemoryManager:
         dirty_written = 0
         touched: List[Context] = []
         for victim, pte in self.eviction_policy.order(candidates):
-            if satisfied():
+            if _fits(device, required_bytes, min_contiguous):
                 break
             yield victim.lock.acquire()
             try:
@@ -1021,16 +1012,9 @@ class MemoryManager:
         synchronous release happen atomically (no intervening yield), so
         a skipped victim simply keeps its cache.
         """
-
-        def satisfied() -> bool:
-            return (
-                device.allocator.free_bytes >= required_bytes
-                and device.allocator.largest_free_block >= min_contiguous
-            )
-
         freed = 0
         for victim in list(self.page_table.contexts()):
-            if satisfied():
+            if _fits(device, required_bytes, min_contiguous):
                 break
             if victim is ctx or victim.bound:
                 continue

@@ -75,7 +75,7 @@ def test_cost_aware_prefers_clean_entries():
     clean = _pte(size=4 * MIB, last_use=9.0)
     dirty = _pte(size=4 * MIB, last_use=1.0)
     dirty.on_device_allocated(0x1000)
-    dirty.on_kernel_write(1.0)
+    dirty.kernel_write(1.0)
     ordered = CostAwareEviction().order([("c", dirty), ("c", clean)])
     assert [p for _ctx, p in ordered] == [clean, dirty]
 
@@ -90,7 +90,7 @@ def test_cost_aware_uses_per_chunk_dirtiness():
     partially_dirty.kernel_write(1.0)
     fully_dirty = _pte(size=12 * MIB)
     fully_dirty.on_device_allocated(0x2000)
-    fully_dirty.on_kernel_write(1.0)
+    fully_dirty.kernel_write(1.0)
     ordered = CostAwareEviction().order(
         [("c", fully_dirty), ("c", partially_dirty)]
     )

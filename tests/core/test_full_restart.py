@@ -82,6 +82,36 @@ def test_restart_restores_and_replays():
     assert len(ctx.replay_journal) == 3
 
 
+def test_restart_restores_chunked_snapshot_and_replays():
+    """Restoring into a runtime that splits entries into chunks marks
+    every chunk of the restored data for transfer, so the replay faults
+    all of it back in."""
+    snap = make_snapshot()
+
+    env = Environment()
+    driver = CudaDriver(env, [TESLA_C2050])
+    runtime = NodeRuntime(
+        env, driver, RuntimeConfig(vgpus_per_device=2, swap_chunk_bytes=16 * MIB)
+    )
+    env.process(runtime.start())
+    env.run(until=1.0)
+
+    ctx = Context(env, owner="restored")
+    restore_context(runtime.memory, ctx, snap)
+    entries = runtime.memory.page_table.entries_for(ctx)
+    assert sorted(pte.fault_bytes() for pte in entries) == [32 * MIB, 64 * MIB]
+
+    def resume():
+        yield from runtime.scheduler.request_binding(ctx)
+        yield from runtime.dispatcher.replay_journal(ctx)
+
+    p = env.process(resume())
+    env.run(until=p)
+    assert driver.devices[0].kernels_executed == 3
+    assert runtime.stats.swap_bytes_in == 96 * MIB
+    assert all(pte.is_allocated and pte.fault_bytes() == 0 for pte in entries)
+
+
 def test_restart_then_continue_and_exit_cleanly():
     snap = make_snapshot(kernels_before_snapshot=2)
 

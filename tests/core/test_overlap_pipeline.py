@@ -97,6 +97,35 @@ def test_eager_copy_h2d_transfers_immediately_when_bound():
     assert_swap_accounting_consistent(deferred)
 
 
+@pytest.mark.parametrize("second_copy_bytes, moved", [
+    (MIB, 2 * 64 * MIB),   # a partial copy moves the whole entry
+    (0, 64 * MIB),         # an empty copy moves nothing
+])
+def test_eager_copy_h2d_moves_the_entry_the_launch_path_would(
+    second_copy_bytes, moved
+):
+    """Eager mode transfers what the deferred launch path would: every
+    chunk the host write touched, which for a one-chunk entry is all of
+    it (or nothing, for an empty copy)."""
+    size = 64 * MIB
+    h = Harness(config=RuntimeConfig(defer_transfers=False))
+
+    def app():
+        fe = h.frontend("eager")
+        yield from fe.open()
+        k = KernelDescriptor(name="k", flops=1e9)
+        ptr = yield from fe.cuda_malloc(size)
+        yield from fe.cuda_memcpy_h2d(ptr, size)
+        yield from fe.launch_kernel(k, [ptr])                # binds + bulk H2D
+        yield from fe.cuda_memcpy_h2d(ptr, second_copy_bytes)  # eager
+        yield from fe.cuda_thread_exit()
+
+    h.spawn(app())
+    h.run()
+    assert h.driver.devices[0].bytes_copied == moved
+    assert h.stats.h2d_device_transfers == moved // size
+
+
 # ----------------------------------------------------------------------
 # bugfix: clean-entry swap-out must observe nothing
 # ----------------------------------------------------------------------

@@ -83,11 +83,15 @@ def test_virtual_address_exhaustion_error():
 
 
 # ---------------------------------------------------------------------------
-# Figure 4 state machine
+# Figure 4 state machine (a whole allocation is one chunk)
 # ---------------------------------------------------------------------------
 
+SIZE = 1024
+WHOLE = [(0, SIZE)]
+
+
 def fresh_pte():
-    return PageTableEntry(VIRTUAL_BASE, 1024, EntryType.LINEAR)
+    return PageTableEntry(VIRTUAL_BASE, SIZE, EntryType.LINEAR)
 
 
 def test_initial_state_fff():
@@ -96,42 +100,71 @@ def test_initial_state_fff():
     pte.check_invariants()
 
 
+def test_whole_entry_is_one_valid_chunk():
+    """The paper moves a whole allocation whether or not it was written,
+    so its single chunk holds data from creation."""
+    pte = fresh_pte()
+    assert not pte.chunked
+    [chunk] = pte.chunks
+    assert (chunk.offset, chunk.size) == (0, SIZE)
+    assert (chunk.valid, chunk.to_copy_2dev, chunk.to_copy_2swap) == (
+        True, False, False
+    )
+    assert pte.valid_bytes() == SIZE
+
+
 def test_host_write_moves_to_ftf():
     pte = fresh_pte()
-    pte.on_host_write()
+    pte.host_write()
     assert pte.flags == (False, True, False)
+
+
+def test_partial_host_write_marks_whole_entry():
+    pte = fresh_pte()
+    pte.host_write(1)
+    assert pte.flags == (False, True, False)
+    assert pte.fault_runs() == WHOLE
+
+
+def test_zero_byte_host_write_marks_nothing():
+    """An empty copy moves no data, so it leaves nothing to transfer."""
+    pte = fresh_pte()
+    pte.host_write(0)
+    assert pte.flags == (False, False, False)
+    assert pte.fault_runs() == []
 
 
 def test_launch_sequence_reaches_tft():
     """malloc → copyHD → (allocate, transfer, kernel write) = T/F/T."""
     pte = fresh_pte()
-    pte.on_host_write()
+    pte.host_write()
     pte.on_device_allocated(0x1000)
     assert pte.flags == (True, True, False)
-    pte.on_copied_to_device()
+    pte.complete_fault((0, SIZE))
     assert pte.flags == (True, False, False)
-    pte.on_kernel_write(now=1.0)
+    pte.kernel_write(now=1.0)
     assert pte.flags == (True, False, True)
     assert pte.last_use == 1.0
 
 
-def test_copy_dh_cleans_dirty_state():
+def _dirty_pte():
     pte = fresh_pte()
-    pte.on_host_write()
+    pte.host_write()
     pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_write(now=0)
-    pte.on_copied_to_swap()
+    pte.complete_fault((0, SIZE))
+    pte.kernel_write(now=0)
+    return pte
+
+
+def test_copy_dh_cleans_dirty_state():
+    pte = _dirty_pte()
+    pte.complete_writeback((0, SIZE))
     assert pte.flags == (True, False, False)
 
 
 def test_swap_out_returns_to_host_only_state():
-    pte = fresh_pte()
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_write(now=0)
-    pte.on_copied_to_swap()
+    pte = _dirty_pte()
+    pte.complete_writeback((0, SIZE))
     pte.on_device_released()
     assert pte.flags == (False, True, False)
     assert pte.device_ptr is None
@@ -139,47 +172,78 @@ def test_swap_out_returns_to_host_only_state():
 
 def test_release_while_dirty_asserts():
     """Swap must write back before dropping the device copy."""
-    pte = fresh_pte()
-    pte.on_host_write()
-    pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_write(now=0)
+    pte = _dirty_pte()
     with pytest.raises(AssertionError):
         pte.on_device_released()
 
 
 def test_kernel_read_does_not_dirty():
     pte = fresh_pte()
-    pte.on_host_write()
+    pte.host_write()
     pte.on_device_allocated(0x1000)
-    pte.on_copied_to_device()
-    pte.on_kernel_read(now=2.0)
+    pte.complete_fault((0, SIZE))
+    pte.kernel_read(now=2.0)
     assert pte.flags == (True, False, False)
     assert pte.last_use == 2.0
 
 
+@pytest.mark.parametrize(
+    "flags, legal",
+    [
+        ((False, False, False), True),   # created, nothing anywhere yet
+        ((False, True, False), True),    # data in swap only
+        ((True, False, False), True),    # resident, device and swap in sync
+        ((True, True, False), True),     # resident, swap copy is newer
+        ((True, False, True), True),     # resident, device copy is newer
+        ((False, False, True), False),   # device-dirty without device memory
+        ((False, True, True), False),
+        ((True, True, True), False),     # both copies newer
+    ],
+)
+def test_check_invariants_accepts_exactly_the_figure4_states(flags, legal):
+    pte = fresh_pte()
+    allocated, dev, swap = flags
+    if allocated:
+        pte.is_allocated, pte.device_ptr = True, 0x1000
+    pte._dev_bm, pte._swap_bm = int(dev), int(swap)
+    pte._sync_flags()
+    if legal:
+        pte.check_invariants()
+    else:
+        with pytest.raises(AssertionError):
+            pte.check_invariants()
+
+
 class PteStateMachine(RuleBasedStateMachine):
     """Random walks over the Figure 4 transitions can only ever visit the
-    five legal states."""
+    five legal states, follow the diagram's edges, and answer every
+    transfer query with all of the allocation or none of it."""
 
     def __init__(self):
         super().__init__()
         self.pte = fresh_pte()
         self.clock = 0.0
+        # Independent Figure-4 model of the entry: (A, D, S).
+        self.model = (False, False, False)
 
-    @rule()
-    def host_write(self):
-        self.pte.on_host_write()
+    @rule(nbytes=st.one_of(st.none(), st.integers(0, SIZE)))
+    def host_write(self, nbytes):
+        self.pte.host_write(nbytes)
+        if nbytes != 0:
+            self.model = (self.model[0], True, False)
 
     @precondition(lambda self: not self.pte.is_allocated)
     @rule()
     def allocate(self):
         self.pte.on_device_allocated(0x1000)
+        self.model = (True,) + self.model[1:]
 
     @precondition(lambda self: self.pte.is_allocated and self.pte.to_copy_2dev)
     @rule()
     def transfer_h2d(self):
-        self.pte.on_copied_to_device()
+        for run in self.pte.fault_runs():
+            self.pte.complete_fault(run)
+        self.model = (True, False, self.model[2])
 
     @precondition(
         lambda self: self.pte.is_allocated and not self.pte.to_copy_2dev
@@ -188,14 +252,17 @@ class PteStateMachine(RuleBasedStateMachine):
     def kernel(self, write):
         self.clock += 1
         if write:
-            self.pte.on_kernel_write(self.clock)
+            self.pte.kernel_write(self.clock)
+            self.model = (True, False, True)
         else:
-            self.pte.on_kernel_read(self.clock)
+            self.pte.kernel_read(self.clock)
 
     @precondition(lambda self: self.pte.to_copy_2swap)
     @rule()
     def write_back(self):
-        self.pte.on_copied_to_swap()
+        for run in self.pte.writeback_runs():
+            self.pte.complete_writeback(run)
+        self.model = self.model[:2] + (False,)
 
     @precondition(
         lambda self: self.pte.is_allocated and not self.pte.to_copy_2swap
@@ -203,10 +270,38 @@ class PteStateMachine(RuleBasedStateMachine):
     @rule()
     def release(self):
         self.pte.on_device_released()
+        self.model = (False, True, False)
+
+    @precondition(lambda self: self.pte.is_allocated)
+    @rule()
+    def device_lost(self):
+        self.pte.drop_device_state()
+        self.model = (False, True, False)
+
+    @rule()
+    def discard_dirty(self):
+        self.pte.discard_device_dirty()
+        self.model = self.model[:2] + (False,)
 
     @invariant()
     def always_legal(self):
         self.pte.check_invariants()
+
+    @invariant()
+    def matches_figure4(self):
+        pte = self.pte
+        allocated, dev, swap = self.model
+        assert pte.flags == self.model
+        assert pte.fault_runs() == (WHOLE if dev else [])
+        assert pte.writeback_runs() == (WHOLE if swap else [])
+        assert pte.device_current_runs() == ([] if dev else WHOLE)
+        assert pte.fault_bytes() == (SIZE if dev else 0)
+        assert pte.dirty_bytes() == (SIZE if swap else 0)
+        assert pte.valid_bytes() == SIZE
+        [chunk] = pte.chunks
+        assert (chunk.valid, chunk.to_copy_2dev, chunk.to_copy_2swap) == (
+            True, dev, swap
+        )
 
 
 TestPteStateMachine = PteStateMachine.TestCase

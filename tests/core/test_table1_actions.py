@@ -117,6 +117,32 @@ def test_copy_hd_beyond_allocation_detected_before_gpu(harness):
     assert device.bytes_copied == 0  # the GPU never saw the bad call
 
 
+def test_negative_copy_sizes_rejected_with_typed_error(harness):
+    """A negative memcpy size is a bad memory operation like an oversized
+    one: the caller gets SWAP_SIZE_MISMATCH and the node keeps running
+    (the size never reaches the swap-area timing model)."""
+    h = harness
+    done = {}
+
+    def app():
+        fe = yield from open_frontend(h)
+        vptr = yield from fe.cuda_malloc(MIB)
+        with pytest.raises(RuntimeApiError) as e:
+            yield from fe.cuda_memcpy_h2d(vptr, -1)
+        assert e.value.code == RuntimeErrorCode.SWAP_SIZE_MISMATCH
+        with pytest.raises(RuntimeApiError) as e:
+            yield from fe.cuda_memcpy_d2h(vptr, -1)
+        assert e.value.code == RuntimeErrorCode.SWAP_SIZE_MISMATCH
+        yield from fe.cuda_memcpy_h2d(vptr, MIB)
+        yield from fe.cuda_thread_exit()
+        done["ok"] = True
+
+    h.spawn(app())
+    h.run()
+    assert done.get("ok")
+    assert h.stats.bad_calls_detected == 2
+
+
 def test_multiple_copies_coalesce_into_one_bulk_transfer(harness):
     """Several copy_HD calls into one allocation → a single device
     transfer at launch (§4.5)."""

@@ -169,7 +169,6 @@ def test_quota_aware_eviction_prefers_over_quota_tenants():
 
     def pte(last_use):
         p = PageTableEntry(0x7000_0000_0000, MIB)
-        p.configure_chunks(0)
         p.last_use = last_use
         return p
 
