@@ -20,6 +20,10 @@ Gates asserted here:
   most ``max_events`` heap events.  The count is deterministic; it
   rises several-fold if the kernel's fast paths (heap-head greedy
   resume, immediate grants, one-event delivery) stop firing.
+* **Tracing-cost ceiling (machine-independent)**: traced over untraced
+  Python calls on the mix, counted by cProfile after a warm-up run,
+  stays at most ``max_traced_call_ratio``.  The ceiling only ratchets
+  down.
 * **Throughput ratchet (machine-pinned)**: untraced events/sec must stay
   above ``min_speedup`` x the baseline's recorded figure; the failure
   message prints old -> new.
@@ -94,6 +98,15 @@ def test_tracing_overhead(once):
     assert overhead <= MAX_TRACING_OVERHEAD, (
         f"tracing costs {overhead:.2f}x in events/sec "
         f"(bound {MAX_TRACING_OVERHEAD}x)"
+    )
+
+
+def test_traced_call_ratio(once):
+    baseline = simspeed.load_baseline()
+    ratio = once(simspeed.traced_call_ratio)
+    assert ratio <= baseline["max_traced_call_ratio"], (
+        f"tracing costs {ratio:.4f}x the untraced run's Python calls "
+        f"(ceiling {baseline['max_traced_call_ratio']}x)"
     )
 
 

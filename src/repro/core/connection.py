@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.obs import QueueDepthChanged, Tracer
 from repro.sim import Environment, FifoQueue
 from repro.net.socket import Listener, Socket
 
@@ -25,6 +26,7 @@ class ConnectionManager:
         env: Environment,
         name: str = "runtime",
         backlog_limit: Optional[int] = None,
+        obs: Optional[Tracer] = None,
     ):
         self.env = env
         self.listener = Listener(env, name=name, backlog_limit=backlog_limit)
@@ -32,9 +34,9 @@ class ConnectionManager:
         #: dispatcher thread.
         self.pending: FifoQueue = FifoQueue(env)
         self._accepting = False
-        #: Tracing bus (repro.obs), injected by the runtime; pending-list
-        #: depth changes are emitted as QueueDepthChanged events.
-        self.obs = None
+        #: Tracing bus (repro.obs), the runtime's; pending-list depth
+        #: changes are emitted as QueueDepthChanged events.
+        self.obs = obs or Tracer(env)
 
     @property
     def pending_count(self) -> int:
@@ -50,8 +52,9 @@ class ConnectionManager:
         while True:
             sock: Socket = yield self.listener.accept()
             self.pending.put(sock)
-            if self.obs is not None and self.obs.enabled:
-                self.obs.queue_depth("pending_connections", len(self.pending))
+            if self.obs.enabled:
+                self.obs.record(QueueDepthChanged, queue="pending_connections",
+                                depth=len(self.pending))
 
     def next_connection(self):
         """Event for the next pending connection (dispatcher side)."""

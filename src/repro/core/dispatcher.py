@@ -33,6 +33,18 @@ from repro.simcuda import timing
 from repro.simcuda.errors import CudaError, CudaRuntimeError
 from repro.simcuda.kernels import KernelLaunch
 
+from repro.obs.events import (
+    BatchSubmit,
+    CallBegin,
+    CallEnd,
+    FailureRecovered,
+    GraphInstantiate,
+    GraphReplay,
+    Offload,
+    PhaseBreakdown,
+    Preemption,
+    QueueDepthChanged,
+)
 from repro.obs.span import CallSpan
 
 from repro.core.context import Context, ContextState
@@ -131,8 +143,10 @@ class Dispatcher:
             sock: Socket = yield self.runtime.connections.next_connection()
             self.stats.connections_accepted += 1
             if self.obs.enabled:
-                self.obs.queue_depth(
-                    "pending_connections", self.runtime.connections.pending_count
+                self.obs.record(
+                    QueueDepthChanged,
+                    queue="pending_connections",
+                    depth=self.runtime.connections.pending_count,
                 )
                 self._observe_socket(sock)
             peer = None
@@ -146,7 +160,7 @@ class Dispatcher:
             if peer is not None:
                 self.stats.offloads_out += 1
                 if self.obs.enabled:
-                    self.obs.offload(sock.peer_name, peer.name)
+                    self.obs.record(Offload, context=sock.peer_name, dst_node=peer.name)
                 self.env.process(
                     self.runtime.offloader.proxy(sock, peer),
                     name=f"offload-proxy-{sock.socket_id}",
@@ -168,8 +182,8 @@ class Dispatcher:
             if action == "send":
                 messages.inc()
                 nbytes.inc(n)
-            elif action == "deliver" and direction == "rx":
-                self.obs.queue_depth(queue, pending)
+            elif action == "deliver" and direction == "rx" and self.obs.enabled:
+                self.obs.record(QueueDepthChanged, queue=queue, depth=pending)
 
         sock.attach_observer(on_activity)
 
@@ -205,7 +219,8 @@ class Dispatcher:
                 stats.batches_submitted += 1
                 stats.batched_calls += len(calls)
                 if obs.enabled:
-                    obs.batch_submit(ctx, len(calls), frame.wire_bytes)
+                    obs.record(BatchSubmit, ctx, calls=len(calls),
+                               wire_bytes=frame.wire_bytes)
             else:
                 calls = [frame]
             spans = None
@@ -246,11 +261,8 @@ class Dispatcher:
             yield from sock.send(resp, nbytes=resp.wire_bytes)
             if spans is not None:
                 ctx.span = None
-                error = responses[-1].error
-                obs.phase_breakdown(
-                    ctx, calls[-1].method, spans[-1],
-                    error=type(error).__name__ if error is not None else None,
-                )
+                self._record_phases(ctx, calls[-1].method, spans[-1],
+                                    responses[-1].error)
             if exited:
                 return
             if self._quantum_exhausted(ctx):
@@ -263,6 +275,22 @@ class Dispatcher:
             # may now claim it (dynamic binding, §5.3.4).
             migration.maybe_migrate(ctx)
             self._maybe_prefetch(ctx)
+
+    def _record_phases(
+        self, ctx: Context, method, span: CallSpan, error: Optional[BaseException]
+    ) -> None:
+        """Emit one completed call's phase decomposition from its span."""
+        phases = span.finish()
+        self.obs.record(
+            PhaseBreakdown, ctx,
+            method=getattr(method, "value", method),
+            trace_id=span.trace_id,
+            span_id=span.span_id,
+            begin_at=span.begin_at,
+            wall=span.wall,
+            phases=tuple(sorted(phases.items())),
+            error=type(error).__name__ if error is not None else None,
+        )
 
     def _serve_batch(
         self,
@@ -304,7 +332,11 @@ class Dispatcher:
             if span is not None:
                 span.pop()  # its queue_wait ends; execution begins
                 ctx.span = span
-            begin_at = obs.call_begin(ctx, req.method) if obs.enabled else None
+            if obs.enabled:
+                method_name = getattr(req.method, "value", req.method)
+                begin_at = obs.record(CallBegin, ctx, method=method_name).at
+            else:
+                begin_at = None
             t0 = env.now
             if i == 0:
                 yield env.timeout(DISPATCHER_OVERHEAD_S)
@@ -349,8 +381,9 @@ class Dispatcher:
             latency_observe(elapsed)
             slo_observe(ctx, elapsed)
             if begin_at is not None:
-                obs.call_end(
-                    ctx, req.method, begin_at,
+                obs.record(
+                    CallEnd, ctx, method=method_name, begin_at=begin_at,
+                    duration=env.now - begin_at,
                     error=type(error).__name__ if error is not None else None,
                 )
             responses.append(
@@ -366,10 +399,7 @@ class Dispatcher:
                 # Non-tail calls complete here; the reply wire leg is not
                 # theirs (it is charged once, to the tail call's span).
                 ctx.span = None
-                obs.phase_breakdown(
-                    ctx, req.method, span,
-                    error=type(error).__name__ if error is not None else None,
-                )
+                self._record_phases(ctx, req.method, span, error)
         if first_error is None:
             if batched and instance is None:
                 self._note_graph_candidate(ctx, calls)
@@ -455,9 +485,8 @@ class Dispatcher:
         ctx.graphs[instance.graph_id] = instance
         self.stats.graphs_instantiated += 1
         if self.obs.enabled:
-            self.obs.graph_instantiate(
-                ctx, instance.graph_id, len(template), explicit=False
-            )
+            self.obs.record(GraphInstantiate, ctx, graph_id=instance.graph_id,
+                            kernels=len(template), explicit=False)
 
     def _graph_valid(
         self, ctx: Context, instance: GraphInstance, launches: Sequence[KernelLaunch]
@@ -513,12 +542,9 @@ class Dispatcher:
         instance.epoch = self.memory.page_table.epoch
         instance.device_id = ctx.vgpu.device.device_id if ctx.bound else None
         if self.obs.enabled:
-            self.obs.graph_replay(
-                ctx,
-                instance.graph_id,
-                len(launches),
-                invalidated=not valid and not cold,
-            )
+            self.obs.record(GraphReplay, ctx, graph_id=instance.graph_id,
+                            kernels=len(launches),
+                            invalidated=not valid and not cold)
 
     # ------------------------------------------------------------------
     # preemptive time-slicing (repro.qos)
@@ -564,8 +590,10 @@ class Dispatcher:
             if ctx.tenant is not None:
                 ctx.tenant.preemptions += 1
             if self.obs.enabled:
-                self.obs.preemption(
-                    ctx, vgpu, self.config.vgpu_quantum_s, used
+                self.obs.record(
+                    Preemption, ctx, vgpu=vgpu.name,
+                    quantum_s=self.config.vgpu_quantum_s, used_s=used,
+                    device_id=vgpu.device.device_id,
                 )
         finally:
             ctx.lock.release()
@@ -747,9 +775,8 @@ class Dispatcher:
             if cp > 0.0:
                 yield self.env.timeout(cp * len(launches))
             if self.obs.enabled:
-                self.obs.graph_instantiate(
-                    ctx, instance.graph_id, len(launches), explicit=True
-                )
+                self.obs.record(GraphInstantiate, ctx, graph_id=instance.graph_id,
+                                kernels=len(launches), explicit=True)
             return instance.graph_id, 0
         if method == CallType.GRAPH_LAUNCH:
             instance = ctx.graphs.get(args.get("graph"))
@@ -928,7 +955,7 @@ class Dispatcher:
             self.failed_contexts.remove(ctx)
         self.stats.failures_recovered += 1
         if self.obs.enabled:
-            self.obs.failure_recovered(ctx, replayed_kernels=replayed)
+            self.obs.record(FailureRecovered, ctx, replayed_kernels=replayed)
 
     # ------------------------------------------------------------------
     def track(self, ctx: Context) -> None:

@@ -38,7 +38,15 @@ from repro.core.memory.nested import NestedStructure
 from repro.core.memory.page_table import EntryType, PageTable, PageTableEntry
 from repro.core.memory.swap import SwapArea
 from repro.core.stats import RuntimeStats
-from repro.obs import BYTES_BUCKETS, MetricsRegistry, Tracer
+from repro.obs import (
+    BYTES_BUCKETS,
+    CheckpointTaken,
+    Eviction,
+    MetricsRegistry,
+    SwapIn,
+    SwapOut,
+    Tracer,
+)
 
 __all__ = ["MemoryManager", "NeedRetry"]
 
@@ -157,7 +165,7 @@ class MemoryManager:
         if tenant is not None:
             tenant.swap_bytes_out_total += nbytes
         if self.obs.enabled:
-            self.obs.swap_out(ctx, nbytes)
+            self.obs.record(SwapOut, ctx, nbytes=nbytes)
 
     def _account_swap_in(self, ctx: Context, nbytes: int) -> None:
         """One host→device bulk transfer of authoritative swap data."""
@@ -168,7 +176,7 @@ class MemoryManager:
         if tenant is not None:
             tenant.swap_bytes_in_total += nbytes
         if self.obs.enabled:
-            self.obs.swap_in(ctx, nbytes)
+            self.obs.record(SwapIn, ctx, nbytes=nbytes)
 
     def _drain_writebacks(self, ctx: Context) -> Generator:
         """Barrier: wait until ``ctx``'s asynchronous checkpoint has landed
@@ -792,8 +800,9 @@ class MemoryManager:
         self.stats.eviction_bytes_freed += freed
         self.stats.eviction_writeback_bytes += dirty_written
         if self.obs.enabled:
-            self.obs.eviction(
-                ctx, self.eviction_policy.name, freed, dirty_written, len(touched)
+            self.obs.record(
+                Eviction, ctx, policy=self.eviction_policy.name, bytes_freed=freed,
+                dirty_bytes=dirty_written, victims=len(touched),
             )
 
     # ------------------------------------------------------------------
@@ -892,7 +901,10 @@ class MemoryManager:
             self.stats.quota_eviction_bytes += freed
             self._maybe_clear_journal(ctx)
             if self.obs.enabled:
-                self.obs.eviction(ctx, "tenant_quota", freed, dirty_written, 1)
+                self.obs.record(
+                    Eviction, ctx, policy="tenant_quota", bytes_freed=freed,
+                    dirty_bytes=dirty_written, victims=1,
+                )
 
     def swap_out_context(self, ctx: Context, notify: bool = True) -> Generator:
         """Write back and release every resident entry of ``ctx``.
@@ -1097,7 +1109,7 @@ class MemoryManager:
         ctx.replay_journal.clear()
         self.stats.checkpoints += 1
         if self.obs.enabled:
-            self.obs.checkpoint(ctx, written)
+            self.obs.record(CheckpointTaken, ctx, nbytes=written)
 
     def _finish_checkpoint(self, ctx: Context, staged: _Staged) -> Generator:
         """Completer for an asynchronous checkpoint: marks entries clean
@@ -1113,7 +1125,7 @@ class MemoryManager:
                 ctx.replay_journal.clear()
                 self.stats.checkpoints += 1
                 if self.obs.enabled:
-                    self.obs.checkpoint(ctx, written)
+                    self.obs.record(CheckpointTaken, ctx, nbytes=written)
         finally:
             # Remove before succeeding so woken drainers see the barrier
             # gone when they re-check.

@@ -24,7 +24,13 @@ from repro.core.context import Context, ContextState
 from repro.core.policies import SchedulingPolicy
 from repro.core.stats import RuntimeStats
 from repro.core.vgpu import VirtualGPU
-from repro.obs import MetricsRegistry, QUEUE_WAIT_BUCKETS_S, Tracer
+from repro.obs import (
+    BindingDecision,
+    MetricsRegistry,
+    QUEUE_WAIT_BUCKETS_S,
+    QueueDepthChanged,
+    Tracer,
+)
 
 __all__ = ["Scheduler"]
 
@@ -93,8 +99,7 @@ class Scheduler:
 
     def _spawn_vgpus(self, device: GPUDevice) -> Generator:
         for index in range(self.config.vgpus_per_device):
-            vgpu = VirtualGPU(self.env, self.driver, device, index)
-            vgpu.obs = self.obs
+            vgpu = VirtualGPU(self.env, self.driver, device, index, obs=self.obs)
             vgpu.scheduler = self
             yield from vgpu.start()
             self.vgpus.append(vgpu)
@@ -138,7 +143,8 @@ class Scheduler:
                     )
                 )
             if self.obs.enabled:
-                self.obs.queue_depth("waiting_contexts", 0)
+                self.obs.record(QueueDepthChanged, queue="waiting_contexts",
+                                depth=0)
         return orphans
 
     def retire_vgpu(self, vgpu: VirtualGPU) -> None:
@@ -256,7 +262,8 @@ class Scheduler:
         else:
             self._waiting.append(ctx)
         if self.obs.enabled:
-            self.obs.queue_depth("waiting_contexts", len(self._waiting))
+            self.obs.record(QueueDepthChanged, queue="waiting_contexts",
+                            depth=len(self._waiting))
         self.waiting_added.notify_all()
         # A vGPU may be idle while waiters exist (policy reordering);
         # try a grant round before blocking.
@@ -292,7 +299,8 @@ class Scheduler:
             self._waiting_events.pop(ctx, None)
             self._enqueued_at.pop(ctx, None)
             if self.obs.enabled:
-                self.obs.queue_depth("waiting_contexts", len(self._waiting))
+                self.obs.record(QueueDepthChanged, queue="waiting_contexts",
+                                depth=len(self._waiting))
 
     # ------------------------------------------------------------------
     def _choose_vgpu(self, ctx: Context, idle: List[VirtualGPU]) -> VirtualGPU:
@@ -313,7 +321,11 @@ class Scheduler:
                     key=lambda s: (s[1], s[0].device.device_id, s[0].index),
                 )
                 if self.obs.enabled:
-                    self.obs.binding_decision(ctx, chosen, scored)
+                    self.obs.record(
+                        BindingDecision, ctx, chosen=chosen.name,
+                        device_id=chosen.device.device_id,
+                        scores=tuple((v.name, cost) for v, cost in scored),
+                    )
                 return chosen
 
         def key(vgpu: VirtualGPU):
@@ -367,7 +379,8 @@ class Scheduler:
                     if self.queue_wait_hook is not None:
                         self.queue_wait_hook(ctx, self.env.now - enqueued)
                     if self.obs.enabled:
-                        self.obs.queue_depth("waiting_contexts", len(self._waiting))
+                        self.obs.record(QueueDepthChanged, queue="waiting_contexts",
+                                        depth=len(self._waiting))
                     self._bind(ctx, self._choose_vgpu(ctx, usable))
                     ev.succeed()
                     granted = True

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Generator, Optional, TYPE_CHECKING
 
+from repro.obs import Bind, Tracer, Unbind
 from repro.sim import Environment, Event
 from repro.simcuda.context import CudaContext
 from repro.simcuda.driver import CudaDriver
@@ -33,7 +34,14 @@ _vgpu_seq = itertools.count(1)
 class VirtualGPU:
     """One time-sharing slot on a physical GPU."""
 
-    def __init__(self, env: Environment, driver: CudaDriver, device: GPUDevice, index: int):
+    def __init__(
+        self,
+        env: Environment,
+        driver: CudaDriver,
+        device: GPUDevice,
+        index: int,
+        obs: Optional[Tracer] = None,
+    ):
         self.env = env
         self.driver = driver
         self.device = device
@@ -54,10 +62,10 @@ class VirtualGPU:
         #: Held by the migration manager as a migration destination: idle
         #: but not offered to waiters.
         self.reserved = False
-        #: Tracing bus (repro.obs), injected by the scheduler at spawn so
-        #: every bind/unbind — scheduler grant, migration, recovery — is
+        #: Tracing bus (repro.obs), the scheduler's at spawn, so every
+        #: bind/unbind — scheduler grant, migration, recovery — is
         #: observed at this single choke point.
-        self.obs = None
+        self.obs = obs or Tracer(env)
         #: The owning scheduler, injected at spawn: retirement goes
         #: through its retire step so the usable-vGPU count stays exact.
         self.scheduler: Optional["Scheduler"] = None
@@ -98,14 +106,15 @@ class VirtualGPU:
         # restarts here — the single choke point every bind path crosses
         # (scheduler grant, migration, recovery).
         ctx.quantum_used_s = 0.0
-        if self.obs is not None and self.obs.enabled:
-            self.obs.bind(ctx, self)
+        if self.obs.enabled:
+            self.obs.record(Bind, ctx, vgpu=self.name, device_id=self.device.device_id)
 
     def unbind(self, ctx: "Context", reason: str = "") -> None:
         if self.bound_context is not ctx:
             raise RuntimeError(f"{self.name} does not serve {ctx!r}")
-        if self.obs is not None and self.obs.enabled:
-            self.obs.unbind(ctx, self, reason)
+        if self.obs.enabled:
+            self.obs.record(Unbind, ctx, vgpu=self.name,
+                            device_id=self.device.device_id, reason=reason)
         self.bound_context = None
         if self._bound_at is not None:
             self.total_bound_seconds += self.env.now - self._bound_at

@@ -16,13 +16,18 @@ Two kinds of gate live in the baseline JSON:
 - machine-independent: ``max_events``, a ceiling on the deterministic
   heap-event count of the mix — it rises several-fold if the kernel's
   fast paths (greedy resume, immediate grants, one-event delivery) stop
-  firing, on any machine.
+  firing, on any machine; and ``max_traced_call_ratio``, a ceiling on
+  traced/untraced Python calls (:func:`traced_call_ratio`) — the cost
+  of tracing as a deterministic count.
 """
 
 from __future__ import annotations
 
+import cProfile
+import gc
 import json
 import pathlib
+import pstats
 from typing import Optional
 
 from repro.core.config import RuntimeConfig
@@ -38,6 +43,8 @@ __all__ = [
     "run_once",
     "best_of",
     "measure",
+    "python_calls",
+    "traced_call_ratio",
     "pin_baseline",
 ]
 
@@ -92,6 +99,33 @@ def measure(repeats: int = REPEATS) -> dict:
     }
 
 
+def python_calls(*, tracing: bool) -> int:
+    """Python function calls cProfile counts in one run of the mix.
+
+    A warm-up run goes first, so imports and first-use caches are not
+    counted, and the collector stays off while counting, so finalizers
+    of earlier runs' garbage are not counted either: the count is then
+    deterministic for a given interpreter.
+    """
+    run_once(tracing=tracing)
+    gc.collect()
+    gc.disable()
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        run_once(tracing=tracing)
+    finally:
+        profile.disable()
+        gc.enable()
+    return pstats.Stats(profile).total_calls
+
+
+def traced_call_ratio() -> float:
+    """Traced over untraced Python calls on the mix: what tracing costs,
+    counted rather than timed."""
+    return python_calls(tracing=True) / python_calls(tracing=False)
+
+
 def load_baseline(path: Optional[pathlib.Path] = None) -> dict:
     return json.loads((path or BASELINE_PATH).read_text())
 
@@ -100,9 +134,10 @@ def pin_baseline(measurement: dict,
                  path: Optional[pathlib.Path] = None) -> dict:
     """Write a fresh ``simspeed_baseline.json`` from ``measurement``.
 
-    Preserves the gate sizes (``min_speedup``/``max_events``) from the
-    existing baseline when present — pinning refreshes the recorded
-    figures, it does not loosen or tighten the ratchets.
+    Preserves the gate sizes (``min_speedup``/``max_events``/
+    ``max_traced_call_ratio``) from the existing baseline when present —
+    pinning refreshes the recorded figures, it does not loosen or
+    tighten the ratchets.
     """
     path = path or BASELINE_PATH
     try:
@@ -118,7 +153,9 @@ def pin_baseline(measurement: dict,
             "events_per_second is the untraced figure on the recording "
             "machine with min_speedup as the machine-variance-tolerant "
             "CI ratchet; max_events is a machine-independent ceiling on "
-            "the mix's deterministic heap-event count. See "
+            "the mix's deterministic heap-event count and "
+            "max_traced_call_ratio one on its traced/untraced Python "
+            "call ratio. See "
             "docs/simulator.md for the honest-throughput scorecard."
         ),
         "workload": {"jobs": JOB_COUNT, "vgpus": VGPUS,
@@ -129,6 +166,8 @@ def pin_baseline(measurement: dict,
         "min_speedup": old.get("min_speedup", 0.7),
         "max_events": old.get("max_events", report["events"]),
     }
+    if "max_traced_call_ratio" in old:
+        baseline["max_traced_call_ratio"] = old["max_traced_call_ratio"]
     path.write_text(json.dumps(baseline, indent=2) + "\n")
     return baseline
 

@@ -18,22 +18,11 @@ import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import (
-    Bind,
-    BindingDecision,
+    EVENT_TYPES,
+    CallBegin,
     CallEnd,
-    CheckpointTaken,
     EngineSpan,
-    Eviction,
-    FailureRecovered,
-    Migration,
-    Offload,
-    PhaseBreakdown,
-    Preemption,
     QueueDepthChanged,
-    SwapIn,
-    SwapOut,
-    TenantAdmission,
-    Unbind,
     event_to_dict,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -48,22 +37,10 @@ __all__ = [
 ]
 
 #: Instant-event kinds shown as markers on the owning vGPU row (or the
-#: node's host row when the event carries no device).
-_INSTANT_KINDS = (
-    SwapOut,
-    SwapIn,
-    Eviction,
-    Bind,
-    Unbind,
-    Migration,
-    Offload,
-    CheckpointTaken,
-    FailureRecovered,
-    TenantAdmission,
-    Preemption,
-    BindingDecision,
-    QueueDepthChanged,
-    PhaseBreakdown,
+#: node's host row when the event carries no device): every kind but the
+#: two "X" spans and ``CallBegin``, which its ``CallEnd`` makes redundant.
+_INSTANT_KINDS = tuple(
+    kind for kind in EVENT_TYPES if kind not in (CallBegin, CallEnd, EngineSpan)
 )
 
 _US = 1e6  # seconds → trace-event microseconds
@@ -120,9 +97,9 @@ def _args(event: Any) -> Dict[str, Any]:
 def chrome_trace(events: Iterable[Any]) -> Dict[str, Any]:
     """Build a ``chrome://tracing`` / Perfetto JSON object.
 
-    ``CallEnd`` events become complete ("X") spans — they carry their own
-    begin time — and every other event kind becomes a thread-scoped
-    instant ("i") marker.
+    ``CallEnd`` and ``EngineSpan`` events become complete ("X") spans —
+    they carry their own begin time — ``CallBegin`` is skipped, and every
+    other event kind becomes a thread-scoped instant ("i") marker.
     """
     maps = _IdMaps()
     trace_events: List[Dict[str, Any]] = []

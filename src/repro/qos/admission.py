@@ -34,6 +34,7 @@ from repro.sim import Condition, Environment
 from repro.core.config import RuntimeConfig
 from repro.core.errors import RuntimeApiError, RuntimeErrorCode
 from repro.core.stats import RuntimeStats
+from repro.obs import TenantAdmission, Tracer
 from repro.qos.tenant import Tenant, TenantRegistry
 
 __all__ = ["AdmissionController"]
@@ -48,13 +49,13 @@ class AdmissionController:
         config: RuntimeConfig,
         registry: TenantRegistry,
         stats: Optional[RuntimeStats] = None,
-        obs: Any = None,
+        obs: Optional[Tracer] = None,
     ):
         self.env = env
         self.config = config
         self.registry = registry
         self.stats = stats or RuntimeStats()
-        self.obs = obs
+        self.obs = obs or Tracer(env)
         #: Contexts currently holding an admission slot.
         self._admitted: List[Any] = []
         #: Fired on every slot release; queued handshakes re-check.
@@ -132,5 +133,6 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     def _observe(self, ctx: Any, tenant: Tenant, decision: str, waited_s: float) -> None:
-        if self.obs is not None and getattr(self.obs, "enabled", False):
-            self.obs.tenant_admission(ctx, tenant.name, decision, waited_s)
+        if self.obs.enabled:
+            self.obs.record(TenantAdmission, ctx, tenant=tenant.name,
+                            decision=decision, waited_s=waited_s)

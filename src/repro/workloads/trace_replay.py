@@ -58,6 +58,7 @@ from repro.core.config import RuntimeConfig
 from repro.core.estimator import RuntimeEstimator
 from repro.core.frontend import Frontend
 from repro.obs import ObsCollector
+from repro.obs.report import nearest_rank_percentile as percentile
 from repro.sim import Environment
 from repro.simcuda.device import DEVICE_SPECS, device_spec
 from repro.simcuda.fatbin import FatBinary
@@ -335,15 +336,6 @@ def synthetic_trace(
 # ----------------------------------------------------------------------
 # metrics helpers
 # ----------------------------------------------------------------------
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, math.ceil(q / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
-
-
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index ``(Σx)² / (n·Σx²)`` — 1.0 is perfectly
     fair, 1/n is maximally unfair."""

@@ -5,8 +5,11 @@ import re
 
 from repro.core.stats import RuntimeStats
 from repro.obs import (
+    BatchSubmit,
     Bind,
     CallEnd,
+    GraphInstantiate,
+    GraphReplay,
     Migration,
     MetricsRegistry,
     QueueDepthChanged,
@@ -50,6 +53,20 @@ def test_chrome_trace_structure():
         assert None not in e["args"].values()
     names = {e["args"]["name"] for e in meta if e["name"] == "process_name"}
     assert names == {"n0/GPU0", "n0/runtime"}
+
+
+def test_chrome_trace_marks_batch_and_graph_events():
+    """Every kind but the call and engine spans becomes an instant."""
+    events = [
+        BatchSubmit(at=1.0, context="app0", calls=16, node="n0"),
+        GraphInstantiate(at=1.1, context="app0", graph_id=1, kernels=8, node="n0"),
+        GraphReplay(at=1.2, context="app0", graph_id=1, kernels=8,
+                    device_id=0, node="n0"),
+        SwapOut(at=1.3, context="app0", nbytes=4096, node="n0"),
+    ]
+    instants = [e["name"] for e in chrome_trace(events)["traceEvents"]
+                if e["ph"] == "i"]
+    assert instants == ["BatchSubmit", "GraphInstantiate", "GraphReplay", "SwapOut"]
 
 
 def test_chrome_trace_rows_stable():

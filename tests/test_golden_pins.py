@@ -11,10 +11,17 @@ with::
     PYTHONPATH=src python -m tests.test_golden_pins --write
 
 and the diff of the JSON is the reviewable record of what moved.
+
+The ``traced`` scenario pins the event bus the same way: for each
+traced run, the event count per kind and the sha256 of its JSON-lines
+export, so any change to what is emitted, or to a field's value, shows.
 """
 
+import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -28,13 +35,16 @@ from benchmarks import test_policy_exploration as policy_bench
 from benchmarks import test_qos_isolation as qos_bench
 from benchmarks import test_swap_granularity as swap_bench
 from benchmarks import test_trace_replay as trace_bench
-from repro.core import RuntimeConfig
+from repro.core import NodeRuntime, RuntimeConfig
 from repro.core.policies import POLICY_NAMES
+from repro.experiments import simspeed
 from repro.experiments.harness import run_node_batch
+from repro.obs import EVENT_TYPES, json_lines
 from repro.simcuda import TESLA_C2050
 from repro.workloads.generator import make_job
 from repro.workloads.trace_replay import replay_trace, synthetic_trace
 from tests.core.test_cuda4 import run_p2p_migration
+from tests.core.test_offload import TwoNodeHarness
 from tests.core.test_overlap_pipeline import run_checkpoint_abort
 from tests.qos.test_preemption_torture import run_torture
 
@@ -194,6 +204,82 @@ def _policies():
     }
 
 
+def _batching_traced(label, make):
+    for spec in batching_bench.WORKLOADS:
+        run_node_batch([make(spec, f"{spec.tag}-{label}")], [TESLA_C2050],
+                       batching_bench.config(batch=16, graph=True), label=label)
+
+
+def _offload_traced():
+    h = TwoNodeHarness(vgpus=1)
+    for i in range(6):
+        h.job(h.node_b, f"j{i}", {})
+    h.env.run()
+
+
+#: Traced scenarios: together they emit every kind in ``EVENT_TYPES``.
+TRACED = {
+    "canonical_mix": lambda: simspeed.run_once(tracing=True),
+    "swap_partial": lambda: swap_bench.run("partial"),
+    "batching_graph": lambda: _batching_traced("graph", make_job),
+    "batching_capture": lambda: _batching_traced(
+        "capture", batching_bench.make_capture_job
+    ),
+    "qos_on": lambda: qos_bench.run_corun(qos=True),
+    "locality": lambda: locality_bench._run(locality=True),
+    "preemption_torture": run_torture,
+    "p2p_migration": run_p2p_migration,
+    "checkpoint_failure": lambda: checkpoint_bench.run(0.1),
+    "offload": _offload_traced,
+}
+
+
+def traced_pin(name):
+    """Run ``TRACED[name]`` with tracing on in every runtime it builds;
+    returns the event count per kind and the sha256 of the JSON lines
+    (runtimes in construction order)."""
+    runtimes = []
+    init = NodeRuntime.__init__
+
+    def traced_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.obs.enabled = True
+        runtimes.append(self)
+
+    NodeRuntime.__init__ = traced_init
+    try:
+        TRACED[name]()
+    finally:
+        NodeRuntime.__init__ = init
+    events = [e for runtime in runtimes for e in runtime.obs.events]
+    counts = {}
+    for event in events:
+        counts[event.kind] = counts.get(event.kind, 0) + 1
+    digest = hashlib.sha256(json_lines(events).encode()).hexdigest()
+    return {"counts": counts, "sha256": digest}
+
+
+def _traced():
+    """Each traced scenario runs in a fresh interpreter: device ids,
+    request ids and runtime names come from process-wide counters, so
+    only a fresh process makes the event stream independent of what
+    ran before it."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    out = {}
+    for name in TRACED:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tests.test_golden_pins", "--traced", name],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, f"traced scenario {name}:\n{proc.stderr}"
+        out[name] = json.loads(proc.stdout)
+    return out
+
+
 SCENARIOS = {
     "swap": _swap,
     "overlap": _overlap,
@@ -203,6 +289,7 @@ SCENARIOS = {
     "trace_smoke": _trace_smoke,
     "policies": _policies,
     "transfers": _transfers,
+    "traced": _traced,
 }
 
 
@@ -221,12 +308,20 @@ def test_golden_pin(golden, name):
     assert _normalise(SCENARIOS[name]()) == golden[name]
 
 
+def test_traced_pin_covers_every_kind(golden):
+    emitted = {kind for pin in golden["traced"].values() for kind in pin["counts"]}
+    assert emitted == {cls.kind for cls in EVENT_TYPES}
+
+
 def write_golden():
     pins = {name: _normalise(build()) for name, build in SCENARIOS.items()}
     GOLDEN_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python -m tests.test_golden_pins --write")
-    write_golden()
+    if sys.argv[1:2] == ["--traced"] and len(sys.argv) == 3:
+        print(json.dumps(traced_pin(sys.argv[2])))
+    elif sys.argv[1:] == ["--write"]:
+        write_golden()
+    else:
+        sys.exit("usage: python -m tests.test_golden_pins --write | --traced NAME")
